@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -96,11 +97,18 @@ def _parse_grid(spec: str, params: hermite.BasisParams):
     return np.linspace(params.X - half, params.X + half, 1001)
 
 
+def _require_finite(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise click.UsageError(f"{name} must be finite, got {value!r}")
+
+
 def _parse_angles(text: str) -> symplectic.ThetaAngles:
     try:
         tp, tm, tx = (float(v) for v in text.split(","))
     except ValueError:
         raise click.UsageError("angles must be three comma-separated reals a,b,c")
+    for name, value in zip(("theta_plus", "theta_minus", "theta_cross"), (tp, tm, tx)):
+        _require_finite(value, name)
     return symplectic.ThetaAngles.one_dim(tp, tm, tx)
 
 
@@ -150,6 +158,9 @@ def basis(ctx, level, grid, x0, p0, b):
         _write_output(ctx, _wavefunction_csv(xs, values))
 
 
+_SPEC_FIELDS = ("X", "P", "B", "cutoff", "theta_plus", "theta_minus", "theta_cross")
+
+
 @main.command()
 @click.option("--input", "input_path", required=True,
               help="Wavefunction CSV (x,re,im), or - for stdin.")
@@ -167,12 +178,18 @@ def transform(ctx, input_path, spec_path):
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        params = hermite.BasisParams(float(raw["X"]), float(raw["P"]), float(raw["B"]))
+        spec = {key: float(raw[key]) for key in _SPEC_FIELDS}
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"bad transform spec: {exc}")
+    for key, value in spec.items():
+        _require_finite(value, f"transform spec field {key}")
+    try:
+        params = hermite.BasisParams(spec["X"], spec["P"], spec["B"])
         cutoff = int(raw["cutoff"])
         angles = symplectic.ThetaAngles.one_dim(
-            float(raw["theta_plus"]), float(raw["theta_minus"]), float(raw["theta_cross"])
+            spec["theta_plus"], spec["theta_minus"], spec["theta_cross"]
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad transform spec: {exc}")
     if cutoff < 16:
         raise click.UsageError("transform spec needs cutoff >= 16")
@@ -220,7 +237,8 @@ def _closure_check(metric: weyl.Metric) -> dict:
     try:
         sc = weyl.closure_and_constants(metric)
         expected = metric.dim * (2 * metric.dim + 1)
-        ok = sc.dimension == expected and not sc.jacobi_violations()
+        jacobi_exact = not sc.jacobi_violations()
+        ok = sc.dimension == expected and jacobi_exact
         return {
             "name": "closure",
             "status": "pass" if ok else "fail",
@@ -228,7 +246,7 @@ def _closure_check(metric: weyl.Metric) -> dict:
                 "metric": [metric.n_plus, metric.n_minus],
                 "dimension": sc.dimension,
                 "expected_dimension": expected,
-                "jacobi_exact": not sc.jacobi_violations(),
+                "jacobi_exact": jacobi_exact,
             },
         }
     except weyl.ClosureFailure as exc:
@@ -310,6 +328,7 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     """
     metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
     theta = _parse_angles(angles)
+    _require_finite(tol, "tol")
     started = time.perf_counter()
     checks = []
     try:

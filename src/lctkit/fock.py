@@ -45,9 +45,6 @@ class TruncatedOperator:
     def is_hermitian(self, tol: float = 0.0) -> bool:
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
 
-    def leading_block(self, size: int) -> np.ndarray:
-        return self.matrix[:size, :size]
-
 
 def ladder_matrices(cutoff: int):
     """Lowering/raising pair: Zminus has sqrt(n) at (n-1, n), Zplus its adjoint."""

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lctkit
 from lctkit.cli import main
 
 
@@ -290,3 +295,41 @@ def test_rep_all_operators(runner):
 def test_rep_cutoff_guard(runner):
     result = runner.invoke(main, ["rep", "--cutoff", "1"])
     assert result.exit_code == 2
+
+
+_VALID_SPEC = {"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 32,
+               "theta_plus": 0.1, "theta_minus": 0.0, "theta_cross": 0.0}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "position", ["angle:0", "angle:1", "angle:2", "tol", *(f"spec:{k}" for k in _VALID_SPEC)]
+)
+def test_non_finite_input_is_usage_error(runner, tmp_path, position, value):
+    kind, _, where = position.partition(":")
+    if kind == "spec":
+        wf_path = str(tmp_path / "wf.csv")
+        _write_ground_state(runner, wf_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(_VALID_SPEC, **{where: float(value)})))
+        args = ["transform", "--input", wf_path, "--spec", str(spec)]
+    elif kind == "tol":
+        args = ["verify", "--homomorphism", "--cutoff", "32", "--tol", value]
+    else:
+        angles = ["0.1", "0.1", "0.1"]
+        angles[int(where)] = value
+        args = ["verify", "--homomorphism", "--cutoff", "32", "--angles", ",".join(angles)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "must be finite" in result.output
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.linalg alone costs more than the whole CLI set-up
+    src = str(Path(lctkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, lctkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
