@@ -90,6 +90,8 @@ def _parse_grid(spec: str, params: hermite.BasisParams):
             lo, hi, npts = float(lo), float(hi), int(npts)
         except ValueError:
             raise click.UsageError("grid must be MIN:MAX:POINTS")
+        _require_finite(lo, "grid MIN")
+        _require_finite(hi, "grid MAX")
         if npts < 2 or not hi > lo:
             raise click.UsageError("grid needs MAX > MIN and at least two points")
         return np.linspace(lo, hi, npts)
@@ -146,6 +148,8 @@ def basis(ctx, level, grid, x0, p0, b):
     """Emit samples of a basis wavefunction as x,re,im rows."""
     if level < 0:
         raise click.UsageError("basis index must be non-negative")
+    for name, value in (("--x0", x0), ("--p0", p0), ("--b", b)):
+        _require_finite(value, name)
     try:
         params = hermite.BasisParams(x0, p0, b)
     except ValueError as exc:

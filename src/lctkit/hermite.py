@@ -10,10 +10,18 @@ structurally.  Member n of the family is
 
 and its momentum-side partner swaps (x, X, A) -> (p, P, B) with the plane-wave
 factor exp(-i X (p-P)).
+
+All levels come from one pass of the normalised three-term recurrence for the
+Hermite functions.  `project` and `synthesize` consume each level as the pass
+produces it, so neither holds more than a few grid-sized arrays, whatever the
+cutoff.  Where the Gaussian seed exp(-u^2/2) would underflow (|u| > ~37) the
+recurrence starts from a rescaled seed and carries the missing factor as a
+log-domain offset, so high levels keep their norm on wide grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,9 @@ SUPPORT_SIGMAS = 8.0
 
 _UNIFORM_RTOL = 1e-12
 
+# exp(-700) ~ 1e-304 is still a normal double; seeds below it are rescaled
+_LOG_SEED_FLOOR = 700.0
+
 
 @dataclass(frozen=True)
 class BasisParams:
@@ -43,6 +54,9 @@ class BasisParams:
     B: float = 0.5
 
     def __post_init__(self):
+        for name, value in (("X", self.X), ("P", self.P), ("B", self.B)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.B > 0:
             raise ValueError("momentum dispersion B must be positive")
 
@@ -136,18 +150,50 @@ def hermite_polynomial(n: int, t):
     return h if h.ndim else float(h)
 
 
-def _normalized_hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
-    """h_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi)), computed stably.
+def _hermite_functions(levels: int, u: np.ndarray):
+    """Yield h_k(u) = H_k(u) exp(-u^2/2) / sqrt(2^k k! sqrt(pi)) for k < levels.
 
-    The normalised recurrence h_{k} = u sqrt(2/k) h_{k-1} - sqrt((k-1)/k) h_{k-2}
-    never forms 2^n n!, so there is no overflow for any n.
+    One pass of the normalised recurrence
+    h_k = u sqrt(2/k) h_{k-1} - sqrt((k-1)/k) h_{k-2}, which never forms
+    2^k k!, so no level overflows.  Levels have the shape of u; the recurrence
+    keeps using them, so callers must not modify them.
+
+    The seed exp(-u^2/2) would underflow where u^2/2 exceeds _LOG_SEED_FLOOR,
+    although h_k there grows back to order one once k nears u^2/2.  Those
+    points start from exp(-_LOG_SEED_FLOOR) and carry the missing factor
+    exp(-offset) apart, applied to each yielded level.  Whenever a scaled value
+    there exceeds one, it is divided back down and the offset shrinks by the
+    same amount, until the offset is spent.  Points with u^2/2 below the floor
+    run the plain recurrence throughout.
     """
-    h_prev = np.pi ** (-0.25) * np.exp(-0.5 * u * u)
-    if n == 0:
-        return h_prev
-    h = np.sqrt(2.0) * u * h_prev
-    for k in range(2, n + 1):
-        h, h_prev = u * np.sqrt(2.0 / k) * h - np.sqrt((k - 1.0) / k) * h_prev, h
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).ravel()
+    half_sq = 0.5 * u * u
+    offset = np.maximum(half_sq - _LOG_SEED_FLOOR, 0.0)
+    far = np.flatnonzero(offset)
+    h_prev = np.zeros_like(u)
+    h = np.pi ** (-0.25) * np.exp(-np.minimum(half_sq, _LOG_SEED_FLOOR))
+    for k in range(levels):
+        if k:
+            h, h_prev = u * np.sqrt(2.0 / k) * h - np.sqrt((k - 1.0) / k) * h_prev, h
+        if not far.size:
+            yield h.reshape(shape)
+            continue
+        shift = np.minimum(np.log(np.maximum(np.abs(h[far]), 1.0)), offset[far])
+        shrink = np.exp(-shift)
+        h[far] *= shrink
+        h_prev[far] *= shrink
+        offset[far] -= shift
+        level = h.copy()
+        level[far] *= np.exp(-offset[far])
+        far = far[offset[far] > 0]
+        yield level.reshape(shape)
+
+
+def _hermite_function(n: int, u) -> np.ndarray:
+    """h_n(u): the last level of one recurrence pass."""
+    for h in _hermite_functions(n + 1, u):
+        pass
     return h
 
 
@@ -158,7 +204,7 @@ def phi(n: int, x, params: BasisParams):
     x = np.asarray(x, dtype=float)
     a = params.A
     u = (x - params.X) / np.sqrt(2.0 * a)
-    vals = _normalized_hermite_functions(n, u) * (2.0 * a) ** (-0.25)
+    vals = _hermite_function(n, u) * (2.0 * a) ** (-0.25)
     out = vals * np.exp(1j * params.P * x)
     return out if out.ndim else complex(out)
 
@@ -170,7 +216,7 @@ def phi_tilde(n: int, p, params: BasisParams):
     p = np.asarray(p, dtype=float)
     b = params.B
     v = (p - params.P) / np.sqrt(2.0 * b)
-    vals = _normalized_hermite_functions(n, v) * (2.0 * b) ** (-0.25)
+    vals = _hermite_function(n, v) * (2.0 * b) ** (-0.25)
     out = vals * np.exp(-1j * params.X * (p - params.P))
     return out if out.ndim else complex(out)
 
@@ -189,20 +235,35 @@ def project(wf: SampledWavefunction, params: BasisParams, cutoff: int) -> Coeffi
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
     _check_support(wf.grid, params)
+    a = params.A
+    # trapezoid weights
+    steps = np.diff(wf.grid)
+    weights = np.zeros_like(wf.grid)
+    weights[:-1] += 0.5 * steps
+    weights[1:] += 0.5 * steps
+    # c_n = sum_j h_n(u_j) g_j: everything but the real Hermite function
+    g = np.exp(-1j * params.P * wf.grid) * wf.values * weights * (2.0 * a) ** (-0.25)
+    g_parts = np.stack([g.real, g.imag])
+    u = (wf.grid - params.X) / np.sqrt(2.0 * a)
     coeffs = np.empty(cutoff, dtype=complex)
-    for n in range(cutoff):
-        integrand = np.conj(phi(n, wf.grid, params)) * wf.values
-        coeffs[n] = np.trapezoid(integrand, wf.grid)
+    for n, h in enumerate(_hermite_functions(cutoff, u)):
+        re, im = g_parts @ h
+        coeffs[n] = complex(re, im)
     return CoefficientExpansion(params, cutoff, coeffs)
 
 
 def synthesize(expansion: CoefficientExpansion, grid) -> SampledWavefunction:
     """Assemble sum_n c_n phi_n on the given uniform grid."""
     grid = np.asarray(grid, dtype=float)
-    values = np.zeros(grid.shape, dtype=complex)
-    for n, c in enumerate(expansion.coeffs):
-        if c != 0:
-            values += c * phi(n, grid, expansion.params)
+    params = expansion.params
+    a = params.A
+    u = (grid - params.X) / np.sqrt(2.0 * a)
+    total_re = np.zeros(grid.shape)
+    total_im = np.zeros(grid.shape)
+    for c, h in zip(expansion.coeffs, _hermite_functions(expansion.cutoff, u)):
+        total_re += c.real * h
+        total_im += c.imag * h
+    values = (total_re + 1j * total_im) * ((2.0 * a) ** (-0.25) * np.exp(1j * params.P * grid))
     return SampledWavefunction(grid, values)
 
 

@@ -44,11 +44,13 @@ class ConstraintViolation(ValueError):
     """Algebra-matrix block constraints are violated beyond tolerance."""
 
 
-def _as_symmetric_matrix(value, n: int, name: str) -> np.ndarray:
+def _as_angle_matrix(value, n: int, name: str, symmetric: bool) -> np.ndarray:
     m = np.atleast_2d(np.asarray(value, dtype=float))
     if m.shape != (n, n):
         raise DimensionMismatch(f"{name} must be {n}x{n}")
-    if not np.array_equal(m, m.T):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
+    if symmetric and not np.array_equal(m, m.T):
         raise ValueError(f"{name} must be exactly symmetric as stored")
     return m
 
@@ -66,11 +68,9 @@ class ThetaAngles:
         n = self.dim
         if n < 1:
             raise DimensionMismatch("dimension must be >= 1")
-        tp = _as_symmetric_matrix(self.theta_plus, n, "theta_plus")
-        tm = _as_symmetric_matrix(self.theta_minus, n, "theta_minus")
-        tx = np.atleast_2d(np.asarray(self.theta_cross, dtype=float))
-        if tx.shape != (n, n):
-            raise DimensionMismatch(f"theta_cross must be {n}x{n}")
+        tp = _as_angle_matrix(self.theta_plus, n, "theta_plus", symmetric=True)
+        tm = _as_angle_matrix(self.theta_minus, n, "theta_minus", symmetric=True)
+        tx = _as_angle_matrix(self.theta_cross, n, "theta_cross", symmetric=False)
         object.__setattr__(self, "theta_plus", tp)
         object.__setattr__(self, "theta_minus", tm)
         object.__setattr__(self, "theta_cross", tx)

@@ -303,11 +303,18 @@ _VALID_SPEC = {"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 32,
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
-    "position", ["angle:0", "angle:1", "angle:2", "tol", *(f"spec:{k}" for k in _VALID_SPEC)]
+    "position",
+    ["angle:0", "angle:1", "angle:2", "tol", *(f"spec:{k}" for k in _VALID_SPEC),
+     "basis:--x0", "basis:--p0", "basis:--b", "grid:min", "grid:max"],
 )
 def test_non_finite_input_is_usage_error(runner, tmp_path, position, value):
     kind, _, where = position.partition(":")
-    if kind == "spec":
+    if kind == "basis":
+        args = ["basis", "--grid=-1:1:3", where, value]
+    elif kind == "grid":
+        lo, hi = ("-" + value, "1") if where == "min" else ("-1", value)
+        args = ["basis", f"--grid={lo}:{hi}:3"]
+    elif kind == "spec":
         wf_path = str(tmp_path / "wf.csv")
         _write_ground_state(runner, wf_path)
         spec = tmp_path / "spec.json"

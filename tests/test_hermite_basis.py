@@ -1,6 +1,7 @@
 """Basis wavefunctions: values, orthonormality, projection, moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ def test_params_derive_coordinate_dispersion():
     assert p.A * p.B == 0.25
     with pytest.raises(ValueError):
         BasisParams(0.0, 0.0, 0.0)
+    for fields in ((np.nan, 0.0, 0.5), (0.0, np.inf, 0.5), (0.0, 0.0, np.inf), (0.0, 0.0, np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            BasisParams(*fields)
 
 
 def test_hermite_polynomial_low_orders():
@@ -261,3 +265,81 @@ def test_large_level_evaluation_does_not_overflow():
     assert np.all(np.isfinite(vals))
     norm = np.trapezoid(np.abs(vals) ** 2, xs)
     assert abs(norm - 1.0) < 1e-6
+
+
+def _project_per_level(wf, params, cutoff):
+    # reference: one phi evaluation and one trapezoid per level
+    coeffs = np.empty(cutoff, dtype=complex)
+    for n in range(cutoff):
+        coeffs[n] = np.trapezoid(np.conj(phi(n, wf.grid, params)) * wf.values, wf.grid)
+    return coeffs
+
+
+def _synthesize_per_level(coeffs, params, grid):
+    values = np.zeros(grid.shape, dtype=complex)
+    for n, c in enumerate(coeffs):
+        if c != 0:
+            values += c * phi(n, grid, params)
+    return values
+
+
+@pytest.mark.parametrize("b_disp", [0.25, 0.5, 2.0])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 16, 257])
+def test_streamed_project_synthesize_match_per_level_loop(cutoff, b_disp):
+    params = BasisParams(0.7, -1.3, b_disp)
+    grid = np.linspace(-30.0, 30.0, 1201)
+    # wide enough to be non-negligible at the grid ends, where the quadrature weights differ
+    packet = np.exp(-((grid - 1.1) ** 2) / 200.0 + 0.9j * grid)
+    wf = SampledWavefunction(grid, packet / math.sqrt(np.trapezoid(np.abs(packet) ** 2, grid)))
+
+    want = _project_per_level(wf, params, cutoff)
+    got = project(wf, params, cutoff).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    rng = np.random.default_rng(cutoff)
+    coeffs = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+    want = _synthesize_per_level(coeffs, params, grid)
+    got = synthesize(CoefficientExpansion(params, cutoff, coeffs), grid).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_project_synthesize_stream_the_basis():
+    # a materialised 256 x 8001 real basis alone would take 16.4 MB
+    params = BasisParams(0.4, 0.8, 0.5)
+    grid = np.linspace(-12.0, 12.0, 8001)
+    wf = SampledWavefunction(grid, phi(0, grid, params))
+    tracemalloc.start()
+    try:
+        synthesize(project(wf, params, 256), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def _unscaled_hermite_function(n, u):
+    # the recurrence seeded with exp(-u^2/2) as is, which underflows for |u| > ~38.6
+    h_prev = np.pi ** (-0.25) * np.exp(-0.5 * u * u)
+    if n == 0:
+        return h_prev
+    h = np.sqrt(2.0) * u * h_prev
+    for k in range(2, n + 1):
+        h, h_prev = u * np.sqrt(2.0 / k) * h - np.sqrt((k - 1.0) / k) * h_prev, h
+    return h
+
+
+@pytest.mark.parametrize("n", [500, 1000, 1500, 2000])
+def test_high_levels_keep_unit_norm_past_seed_underflow(n):
+    # the turning point of level 2000 is sqrt(4001) ~ 63.3, so the grid reaches 70
+    xs = np.linspace(-70.0, 70.0, 28001)
+    norm = np.trapezoid(np.abs(phi(n, xs, PARAMS)) ** 2, xs)
+    assert abs(norm - 1.0) < 1e-10
+
+
+def test_rescaled_seed_leaves_points_inside_the_floor_unchanged():
+    xs = np.linspace(-60.0, 60.0, 2401)
+    inner = np.abs(xs) < 37.0
+    for n in (0, 1, 7, 300, 1200):
+        got = phi(n, xs, PARAMS)[inner]
+        want = _unscaled_hermite_function(n, xs[inner])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

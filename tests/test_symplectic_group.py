@@ -78,6 +78,16 @@ def test_theta_angles_validation():
         from_angles(ThetaAngles.one_dim(1, 0, 0), Metric(2, 0))
 
 
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_theta_angles_refuse_non_finite_before_symmetry(position, value):
+    angles = [0.1, 0.2, 0.3]
+    angles[position] = value
+    name = ("theta_plus", "theta_minus", "theta_cross")[position]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        ThetaAngles.one_dim(*angles)
+
+
 def test_exp_sl2_zero():
     s = exp_sl2(from_angles(ThetaAngles.one_dim(0, 0, 0), M1D))
     assert np.array_equal(s.full(), np.eye(2))
