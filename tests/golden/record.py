@@ -1,0 +1,88 @@
+"""Record the golden corpus of CLI stdout.
+
+    python3 tests/golden/record.py
+
+Runs every case in CASES through `python -m lctkit.cli` (the package under
+`src/`) and writes `cases/<name>.stdout` and `cases/<name>.exit`; a case that
+writes files through `--output` also stores each of them as
+`cases/<name>.<file>`.  Inputs the cases read live in `inputs/`.
+`tests/test_golden.py` replays every case and compares the bytes.
+
+The corpus is a lock on behaviour: re-record it only for a deliberate,
+documented change of output, never to make a failing comparison pass.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
+CASES_DIR = HERE / "cases"
+SRC = HERE.parent.parent / "src"
+
+# name -> CLI arguments; "{in}" expands to the inputs directory and "{out}" to
+# a scratch directory whose files become part of the case
+CASES = {
+    "basis-csv": ["basis", "-n", "3", "--grid=-6:6:121", "--x0", "0.5", "--p0", "0.25",
+                  "--b", "0.7"],
+    "basis-json": ["--format", "json", "basis", "-n", "2", "--grid=-5:5:41", "--b", "0.5"],
+    # the default grid is fixed at 1001 points around X
+    "basis-default-grid": ["basis", "-n", "1", "--b", "2.0"],
+    "verify-table": ["verify", "--table", "Eq10", "--table", "Eq27"],
+    "verify-table-warn": ["verify", "--table", "Eq74", "--signature", "1,1"],
+    "verify-all-2-0": ["verify", "--all", "--signature", "2,0", "--cutoff", "32",
+                       "--angles", "0.1,0.1,0.1"],
+    "verify-all-1-1": ["verify", "--all", "--signature", "1,1", "--cutoff", "64",
+                       "--angles", "0.3,-0.2,0.25"],
+    "verify-homomorphism": ["verify", "--homomorphism", "--angles", "0.3,-0.2,0.25",
+                            "--cutoff", "64"],
+    "verify-basis-law": ["verify", "--basis-law", "--angles", "0.4,0,0", "--cutoff", "64"],
+    "verify-homomorphism-fail": ["verify", "--homomorphism", "--angles", "0.5,0.5,-0.5",
+                                 "--cutoff", "32", "--tol", "1e-12"],
+    "verify-basis-law-fail": ["verify", "--basis-law", "--angles", "0.4,0.3,-0.2",
+                              "--cutoff", "96", "--tol", "1e-12"],
+    "expmap-1d": ["expmap", "--input", "{in}/expmap-1d.json"],
+    "expmap-2d-1-1": ["expmap", "--input", "{in}/expmap-2d-1-1.json"],
+    "rep-all": ["rep", "--b", "0.8", "--cutoff", "6"],
+    "rep-jcross": ["rep", "--b", "1.0", "--cutoff", "8", "--which", "jcross"],
+    "transform-csv-output": ["--output", "{out}/out.csv", "transform", "--input", "{in}/wf.csv",
+                             "--spec", "{in}/spec.json"],
+    "transform-json": ["--format", "json", "transform", "--input", "{in}/wf.csv",
+                       "--spec", "{in}/spec-squeeze.json"],
+    "dispersion": ["dispersion", "--input", "{in}/wf.csv"],
+}
+
+
+def run_case(name: str) -> dict[str, bytes]:
+    """Run one case; map each corpus file suffix to the bytes it should hold."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    with tempfile.TemporaryDirectory() as out:
+        args = [a.replace("{in}", str(INPUTS)).replace("{out}", out) for a in CASES[name]]
+        proc = subprocess.run([sys.executable, "-m", "lctkit.cli", *args], env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True, timeout=300)
+        files = {"stdout": proc.stdout, "exit": f"{proc.returncode}\n".encode()}
+        for path in sorted(Path(out).iterdir()):
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def corpus_path(name: str, suffix: str) -> Path:
+    return CASES_DIR / f"{name}.{suffix}"
+
+
+def main():
+    CASES_DIR.mkdir(exist_ok=True)
+    for name in CASES:
+        files = run_case(name)
+        for suffix, data in files.items():
+            corpus_path(name, suffix).write_bytes(data)
+        print(f"{name}: exit {files['exit'].decode().strip()}, {len(files['stdout'])} bytes")
+
+
+if __name__ == "__main__":
+    main()
