@@ -12,7 +12,6 @@ from .weyl import (
     build_ladder,
     closure_and_constants,
     commutator,
-    normal_order,
     transform_generators,
     validate_reduction,
     verify_identity,

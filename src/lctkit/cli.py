@@ -257,56 +257,45 @@ def _closure_check(metric: weyl.Metric) -> dict:
         return {"name": "closure", "status": "fail", "report": {"error": str(exc)}}
 
 
-def _homomorphism_check(angles, cutoff, tol) -> dict:
-    rep = metaplectic.verify_homomorphism(angles, 1.0, cutoff, tol)
+def _numeric_check(name: str, rep: dict, checked: int, failed: list, **extra) -> dict:
+    """Envelope of a numerical check: fail if it did not pass, warn if printed
+    rows failed, pass otherwise."""
+    status = "fail" if not rep["passed"] else "warn" if failed else "pass"
     return {
-        "name": "homomorphism",
-        "status": "pass" if rep["passed"] else "fail",
+        "name": name,
+        "status": status,
         "report": {
-            "table": "homomorphism",
+            "table": name,
             "metric": [1, 0],
-            "checked": 2,
-            "failed": [] if rep["passed"] else [
-                {"indices": [], "residual": _fmt(rep["max_residual"]), "corrected_rhs": {}}
-            ],
+            "checked": checked,
+            "failed": failed,
             "max_residual": rep["max_residual"],
             "block": rep["block"],
-            "matrix": rep["matrix"],
+            **extra,
         },
     }
+
+
+def _homomorphism_check(angles, cutoff, tol) -> dict:
+    rep = metaplectic.verify_homomorphism(angles, 1.0, cutoff, tol)
+    failed = [] if rep["passed"] else [
+        {"indices": [], "residual": _fmt(rep["max_residual"]), "corrected_rhs": {}}
+    ]
+    return _numeric_check("homomorphism", rep, 2, failed, matrix=rep["matrix"])
 
 
 def _basis_law_check(angles, cutoff, tol) -> dict:
     rep = metaplectic.verify_basis_transformation(angles, 1.0, cutoff, tol)
-    failed = []
-    warned = False
-    for kind, row in rep["rows"].items():
-        if not row["printed_row_holds"]:
-            warned = True
-            failed.append(
-                {
-                    "indices": [kind],
-                    "residual": _fmt(row["printed_residual"]),
-                    "corrected_rhs": {
-                        "coefficients": [_fmt(c) for c in row["engine_coefficients"]]
-                    },
-                }
-            )
-    status = "pass" if rep["passed"] else "fail"
-    if status == "pass" and warned:
-        status = "warn"
-    return {
-        "name": "basis-law",
-        "status": status,
-        "report": {
-            "table": "basis-law",
-            "metric": [1, 0],
-            "checked": 3,
-            "failed": failed,
-            "max_residual": rep["max_residual"],
-            "block": rep["block"],
-        },
-    }
+    failed = [
+        {
+            "indices": [kind],
+            "residual": _fmt(row["printed_residual"]),
+            "corrected_rhs": {"coefficients": [_fmt(c) for c in row["engine_coefficients"]]},
+        }
+        for kind, row in rep["rows"].items()
+        if not row["printed_row_holds"]
+    ]
+    return _numeric_check("basis-law", rep, 3, failed)
 
 
 @main.command()
@@ -333,26 +322,22 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
     theta = _parse_angles(angles)
     _require_finite(tol, "tol")
+    homomorphism, basis_law = homomorphism or run_all, basis_law or run_all
     started = time.perf_counter()
     checks = []
     try:
+        for name in tables.TABLE_IDS if run_all else table_names:
+            if name not in tables.TABLE_IDS:
+                raise click.UsageError(
+                    f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
+                )
+            checks.append(_table_check(name, metric))
         if run_all:
-            for name in tables.TABLE_IDS:
-                checks.append(_table_check(name, metric))
             checks.append(_closure_check(metric))
+        if homomorphism:
             checks.append(_homomorphism_check(theta, cutoff, tol))
+        if basis_law:
             checks.append(_basis_law_check(theta, cutoff, tol))
-        else:
-            for name in table_names:
-                if name not in tables.TABLE_IDS:
-                    raise click.UsageError(
-                        f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
-                    )
-                checks.append(_table_check(name, metric))
-            if homomorphism:
-                checks.append(_homomorphism_check(theta, cutoff, tol))
-            if basis_law:
-                checks.append(_basis_law_check(theta, cutoff, tol))
     except (fock.CutoffTooSmall, ValueError) as exc:
         raise click.UsageError(str(exc))
     if not checks:
@@ -366,8 +351,8 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
         "angles": theta.triple(),
         "cutoff": cutoff,
         "tol": tol,
-        "homomorphism": bool(homomorphism or run_all),
-        "basis_law": bool(basis_law or run_all),
+        "homomorphism": homomorphism,
+        "basis_law": basis_law,
     }
     digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()[:16]
     payload = {"command": "verify", "inputs": inputs, "inputs_digest": digest,
@@ -447,9 +432,7 @@ def rep(ctx, b, cutoff, which):
         "jcross": jcross, "sigmap": sigma_p, "sigmax": sigma_x,
     }
     if which == "all":
-        payload = {"operators": [_operator_payload(ops[k]) for k in
-                                 ("zminus", "zplus", "jplus", "jminus", "jcross",
-                                  "sigmap", "sigmax")]}
+        payload = {"operators": [_operator_payload(op) for op in ops.values()]}
     else:
         payload = _operator_payload(ops[which])
     _emit_json(ctx, payload)

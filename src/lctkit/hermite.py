@@ -59,6 +59,10 @@ class BasisParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.B > 0:
             raise ValueError("momentum dispersion B must be positive")
+        if not (math.isfinite(self.A) and self.A > 0):
+            raise ValueError(
+                f"B = {self.B!r} gives A = 1/(4B) = {self.A!r}, not finite and positive"
+            )
 
     @property
     def A(self) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fock import CutoffTooSmall, TruncatedOperator, dispersion_matrices, ladder_matrices
 from .symplectic import DimensionMismatch, ThetaAngles, exp_sl2, from_angles
-from .weyl import EUCLIDEAN_1D, WeylAlgebra, transform_generators
+from .weyl import EUCLIDEAN_1D, WeylAlgebra, printed_transform_rows, transform_generators
 
 UNITARITY_TOL = 1e-12
 RATIONALIZE_DENOMINATOR = 10 ** 6
@@ -76,6 +76,12 @@ def reduced_quadratures(cutoff: int):
     p_hat = (zm.matrix + zp.matrix) / np.sqrt(2.0)
     x_hat = 1j * (zm.matrix - zp.matrix) / np.sqrt(2.0)
     return p_hat, x_hat
+
+
+def _group_rows(s) -> list:
+    """The 1D group element as float rows [[Pi, Xi], [Theta, Lambda]]."""
+    return [[float(s.Pi[0, 0]), float(s.Xi[0, 0])],
+            [float(s.Theta[0, 0]), float(s.Lambda[0, 0])]]
 
 
 def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
@@ -149,9 +155,7 @@ def verify_homomorphism(angles: ThetaAngles, B: float, cutoff: int, tol: float) 
         raise CutoffTooSmall("homomorphism check needs cutoff >= 32")
     u = build_unitary(angles, B, cutoff)
     p_hat, x_hat = reduced_quadratures(cutoff)
-    s = exp_sl2(from_angles(angles, EUCLIDEAN_1D))
-    pi, xi = float(s.Pi[0, 0]), float(s.Xi[0, 0])
-    th, la = float(s.Theta[0, 0]), float(s.Lambda[0, 0])
+    (pi, xi), (th, la) = _group_rows(exp_sl2(from_angles(angles, EUCLIDEAN_1D)))
     block = cutoff // 4
     lhs_p = _leading_conjugate(u, p_hat, block)
     lhs_x = _leading_conjugate(u, x_hat, block)
@@ -180,8 +184,7 @@ def rationalize_symplectic(s) -> list:
     exactly from the determinant condition, dividing by the largest available
     partner entry so the completion stays well conditioned.
     """
-    pi, xi = float(s.Pi[0, 0]), float(s.Xi[0, 0])
-    th, la = float(s.Theta[0, 0]), float(s.Lambda[0, 0])
+    (pi, xi), (th, la) = _group_rows(s)
 
     def rat(v: float) -> Fraction:
         return Fraction(v).limit_denominator(RATIONALIZE_DENOMINATOR)
@@ -219,17 +222,14 @@ def verify_basis_transformation(angles: ThetaAngles, B: float, cutoff: int, tol:
     s = exp_sl2(from_angles(angles, EUCLIDEAN_1D))
     s_rat = rationalize_symplectic(s)
     alg = WeylAlgebra(EUCLIDEAN_1D, +1)
-    bp, bm, bx = generator_matrices(B, cutoff)
-    mats = {"+": bp, "-": bm, "x": bx}
+    mats = dict(zip(("+", "-", "x"), generator_matrices(B, cutoff)))
     block = cutoff // 4
-    bp_lead, bm_lead, bx_lead = (m[:block, :block] for m in (bp, bm, bx))
-    pi, xi = float(s.Pi[0, 0]), float(s.Xi[0, 0])
-    th, la = float(s.Theta[0, 0]), float(s.Lambda[0, 0])
-    printed_rows = {
-        "+": (0.5 * (pi * pi + th * th), 0.5 * (xi * xi - la * la), pi * th + xi * la),
-        "-": (0.5 * (pi * pi + th * th), -0.5 * (xi * xi - la * la), pi * th - xi * la),
-        "x": (pi * xi + th * la, pi * xi - th * la, pi * la + th * xi),
-    }
+    bp_lead, bm_lead, bx_lead = (m[:block, :block] for m in mats.values())
+    printed_rows = printed_transform_rows(_group_rows(s))
+
+    def residual(numeric, c) -> float:
+        return float(np.max(np.abs(numeric - (c[0] * bp_lead + c[1] * bm_lead + c[2] * bx_lead))))
+
     report = {
         "angles": angles.triple(),
         "B": B,
@@ -241,17 +241,12 @@ def verify_basis_transformation(angles: ThetaAngles, B: float, cutoff: int, tol:
     worst = 0.0
     for kind in ("+", "-", "x"):
         numeric = _leading_conjugate(u, mats[kind], block)
-        engine = transform_generators(alg, s_rat, kind).triple()
-        coeffs = tuple(float(c) for c in engine)
-        recon = coeffs[0] * bp_lead + coeffs[1] * bm_lead + coeffs[2] * bx_lead
-        res_engine = float(np.max(np.abs(numeric - recon)))
-        pr = printed_rows[kind]
-        recon_printed = pr[0] * bp_lead + pr[1] * bm_lead + pr[2] * bx_lead
-        res_printed = float(np.max(np.abs(numeric - recon_printed)))
+        coeffs = tuple(float(c) for c in transform_generators(alg, s_rat, kind).triple())
+        res_engine, res_printed = residual(numeric, coeffs), residual(numeric, printed_rows[kind])
         worst = max(worst, res_engine)
         report["rows"][kind] = {
             "engine_coefficients": coeffs,
-            "printed_coefficients": pr,
+            "printed_coefficients": printed_rows[kind],
             "engine_residual": res_engine,
             "printed_residual": res_printed,
             "printed_row_holds": res_printed < tol,

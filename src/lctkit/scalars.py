@@ -76,10 +76,6 @@ class GaussianRational:
             raise ValueError(f"{self} is not a plain rational")
         return self.a
 
-    def as_complex(self) -> complex:
-        s = 2 ** 0.5
-        return complex(self.a + self.b * s, self.c + self.d * s)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -199,4 +195,3 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 SQRT2 = GaussianRational(0, 0, 1)
 INV_SQRT2 = GaussianRational(0, 0, Fraction(1, 2))
-HALF = GaussianRational(Fraction(1, 2))

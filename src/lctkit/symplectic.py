@@ -25,8 +25,9 @@ import numpy as np
 from .weyl import Metric, EUCLIDEAN_1D
 
 CONSTRUCTION_TOL = 1e-12  # block constraints, checked when objects are built
-EXPONENTIAL_TOL = 1e-10  # symplectic defect allowed after an exponential
-COMPOSITION_TOL = 1e-9  # symplectic defect allowed after products/inverses
+# relative symplectic defect, max|S^T J S - J| / max(1, max|S_ij|)^2, allowed
+EXPONENTIAL_TOL = 1e-10  # after an exponential
+COMPOSITION_TOL = 1e-9  # after products/inverses
 
 _SERIES_ORDER = 12
 _SCALE_THRESHOLD = 0.5
@@ -101,12 +102,9 @@ def _eta_matrix(metric: Metric) -> np.ndarray:
 
 
 def j_eta(metric: Metric) -> np.ndarray:
-    n = metric.dim
     eta = _eta_matrix(metric)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = eta
-    out[n:, :n] = -eta
-    return out
+    zero = np.zeros_like(eta)
+    return np.block([[zero, eta], [-eta, zero]])
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,7 @@ class AlgebraMatrix:
         return self.metric.dim
 
     def full(self) -> np.ndarray:
-        n = self.dim
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = self.M1
-        out[:n, n:] = self.M3
-        out[n:, :n] = self.M2
-        out[n:, n:] = self.M4
-        return out
-
+        return np.block([[self.M1, self.M3], [self.M2, self.M4]])
 
 
 @dataclass(frozen=True)
@@ -177,13 +168,7 @@ class SymplecticMatrix:
         return self.metric.dim
 
     def full(self) -> np.ndarray:
-        n = self.dim
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = self.Pi
-        out[:n, n:] = self.Xi
-        out[n:, :n] = self.Theta
-        out[n:, n:] = self.Lambda
-        return out
+        return np.block([[self.Pi, self.Xi], [self.Theta, self.Lambda]])
 
     @classmethod
     def from_full(cls, metric: Metric, m: np.ndarray) -> "SymplecticMatrix":
@@ -284,9 +269,11 @@ def is_symplectic(s: SymplecticMatrix, tol: float) -> bool:
 
 
 def _require_symplectic(s: SymplecticMatrix, tol: float, what: str):
-    defect = s.symplectic_defect()
-    if defect >= tol:
-        raise ConstraintViolation(f"{what} has symplectic defect {defect:.3e} >= {tol}")
+    # S^T J S scales like max|S_ij|^2, so roundoff in it does too; a nan
+    # defect (overflowed entries) is refused as well
+    defect = s.symplectic_defect() / max(1.0, float(np.max(np.abs(s.full())))) ** 2
+    if not defect < tol:
+        raise ConstraintViolation(f"{what} has relative symplectic defect {defect:.3e} >= {tol}")
 
 
 def compose(s1: SymplecticMatrix, s2: SymplecticMatrix) -> SymplecticMatrix:

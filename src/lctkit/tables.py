@@ -421,8 +421,3 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
             )
             report.failed_lines.add(line)
     return report
-
-
-def verify_all_tables(metric: Metric | None = None) -> dict:
-    """Run every registered table under its own convention; keyed reports."""
-    return {t: verify_table(t, metric=metric) for t in TABLE_IDS}

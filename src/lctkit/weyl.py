@@ -321,24 +321,10 @@ def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2):
 # -- canonical operations ---------------------------------------------------
 
 
-def normal_order(p: WeylPolynomial) -> WeylPolynomial:
-    """Canonical form of a polynomial.
-
-    Storage is normal-ordered at all times (products reorder on the fly), so
-    this re-canonicalises term storage and is idempotent by construction.
-    """
-    return WeylPolynomial(p.algebra, dict(p.terms))
-
-
 def commutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
     """[a, b] = ab - ba, exact and normal-ordered."""
     a._require_compatible(b)
     return a * b - b * a
-
-
-def anticommutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
-    a._require_compatible(b)
-    return a * b + b * a
 
 
 @dataclass
@@ -366,9 +352,12 @@ def build_generator(alg: WeylAlgebra, kind: str, mu: int = 0, nu: int = 0) -> We
     """
     alg._check_index(mu)
     alg._check_index(nu)
+    return _quadratic(kind, alg.p(mu), alg.p(nu), alg.x(mu), alg.x(nu))
+
+
+def _quadratic(kind: str, pm, pn, xm, xn) -> WeylPolynomial:
+    """The quarter-normalised generator of `kind` over the given p and x factors."""
     quarter = GaussianRational(Fraction(1, 4))
-    pm, pn = alg.p(mu), alg.p(nu)
-    xm, xn = alg.x(mu), alg.x(nu)
     if kind == "+":
         return (pm * pn + xm * xn) * quarter
     if kind == "-":
@@ -656,15 +645,7 @@ def transform_generators(alg: WeylAlgebra, S, kind: str, mu: int = 0, nu: int = 
             xj = xj + alg.p(i) * S[i][n + j] + alg.x(i) * S[n + i][n + j]
         p_new.append(pj)
         x_new.append(xj)
-    quarter = GaussianRational(Fraction(1, 4))
-    if kind == "+":
-        image = (p_new[mu] * p_new[nu] + x_new[mu] * x_new[nu]) * quarter
-    elif kind == "-":
-        image = (p_new[mu] * p_new[nu] - x_new[mu] * x_new[nu]) * quarter
-    elif kind == "x":
-        image = (p_new[mu] * x_new[nu] + x_new[nu] * p_new[mu]) * quarter
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+    image = _quadratic(kind, p_new[mu], p_new[nu], x_new[mu], x_new[nu])
     labels, polys = generator_basis(alg)
     coeffs = ExactSpanSolver(polys).solve(image)
     if coeffs is None:
@@ -701,9 +682,12 @@ def engine_transform_rows(S):
 
 
 def printed_transform_rows(S):
-    """The published coefficient rows of the 1D transformation law, as printed."""
-    (pi, xi), (th, la) = (S[0][0], S[0][1]), (S[1][0], S[1][1])
-    pi, xi, th, la = Fraction(pi), Fraction(xi), Fraction(th), Fraction(la)
+    """The published coefficient rows of the 1D transformation law, as printed.
+
+    Entries are used as given: Fractions give exact rows, floats give float
+    rows (Fraction(1, 2) * x on a float is exactly 0.5 * x).
+    """
+    (pi, xi), (th, la) = S
     half = Fraction(1, 2)
     return {
         "+": (half * (pi * pi + th * th), half * (xi * xi - la * la), pi * th + xi * la),
@@ -715,7 +699,7 @@ def printed_transform_rows(S):
 def verify_transform_law(S) -> dict:
     """Compare printed vs engine-derived rows of the 1D transformation law."""
     engine = engine_transform_rows(S)
-    printed = printed_transform_rows(S)
+    printed = printed_transform_rows(_frac_matrix(S))
     rows = {}
     for kind in ("+", "-", "x"):
         rows[kind] = {

@@ -332,6 +332,33 @@ def test_non_finite_input_is_usage_error(runner, tmp_path, position, value):
     assert "must be finite" in result.output
 
 
+@pytest.mark.parametrize("grid", ["--grid=-1:1:3", None])
+@pytest.mark.parametrize("b", ["1e-320", "1e308"])
+def test_basis_b_out_of_range_is_usage_error(runner, b, grid):
+    args = ["basis", "--b", b] + ([grid] if grid else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "not finite and positive" in result.output
+
+
+_SQUEEZE_40 = json.dumps({"dim": 1, "theta_plus": 0.0, "theta_minus": 0.0, "theta_cross": 40.0})
+
+
+def test_expmap_large_squeeze_passes_relative_gate(runner):
+    result = runner.invoke(main, ["expmap"], input=_SQUEEZE_40)
+    assert result.exit_code == 0, result.output
+    # the printed residual stays absolute
+    assert json.loads(result.stdout)["symplectic_residual"] > 1.0
+
+
+def test_verify_large_squeeze_is_a_failed_check_not_a_usage_error(runner):
+    result = runner.invoke(main, ["verify", "--homomorphism", "--angles", "0,0,40"])
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert [c["status"] for c in payload["checks"]] == ["fail"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.linalg alone costs more than the whole CLI set-up
     src = str(Path(lctkit.__file__).resolve().parents[1])

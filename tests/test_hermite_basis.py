@@ -33,6 +33,13 @@ def test_params_derive_coordinate_dispersion():
             BasisParams(*fields)
 
 
+@pytest.mark.parametrize("b_disp", [1e-320, 1e308])
+def test_params_refuse_b_whose_coordinate_dispersion_is_not_finite_and_positive(b_disp):
+    # 1/(4B) overflows to inf at the bottom of the range and underflows to 0 at the top
+    with pytest.raises(ValueError, match="not finite and positive"):
+        BasisParams(0.0, 0.0, b_disp)
+
+
 def test_hermite_polynomial_low_orders():
     assert hermite_polynomial(0, 3.7) == 1.0
     assert hermite_polynomial(1, 0.5) == 1.0  # H_1(t) = 2t

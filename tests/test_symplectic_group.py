@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lctkit.symplectic import (
+    COMPOSITION_TOL,
+    EXPONENTIAL_TOL,
     AlgebraMatrix,
     ConstraintViolation,
     DimensionMismatch,
@@ -209,3 +211,51 @@ def test_infinitesimal_check_multidim():
                                                 ((3, 0), 21), ((1, 2), 21)])
 def test_angle_parameter_count(signature, expected):
     assert angle_basis_rank(Metric(*signature)) == expected
+
+
+# -- relative symplectic gate -------------------------------------------------
+
+_COSH, _SINH = np.cosh(20.0), np.sinh(20.0)
+
+
+def _squeeze_e20(lam=_COSH):
+    # ((cosh, sinh), (sinh, lam)) is exactly symplectic for lam = cosh(20)
+    return SymplecticMatrix(M1D, [[_COSH]], [[_SINH]], [[_SINH]], [[lam]])
+
+
+def _identity_1d():
+    return SymplecticMatrix(M1D, [[1.0]], [[0.0]], [[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("op", [lambda s: compose(s, _identity_1d()), invert],
+                         ids=["compose", "invert"])
+def test_gate_accepts_roundoff_at_e20_scale(op):
+    s = _squeeze_e20()
+    # roundoff in S^T J S is absolute ~e^40 * 1e-16; relative to max|S|^2 it is tiny
+    assert s.symplectic_defect() > COMPOSITION_TOL
+    assert np.all(np.isfinite(op(s).full()))
+
+
+@pytest.mark.parametrize("op", [lambda s: compose(s, _identity_1d()), invert],
+                         ids=["compose", "invert"])
+@pytest.mark.parametrize(
+    "planted",
+    [lambda: SymplecticMatrix(M1D, [[2.0]], [[0.0]], [[0.0]], [[2.0]]),
+     lambda: _squeeze_e20(_COSH * (1 + 1e-6))],
+    ids=["diag-2-2", "e20-perturbed-1e-6"],
+)
+def test_gate_refuses_planted_defects_at_both_scales(op, planted):
+    with pytest.raises(ConstraintViolation, match="relative symplectic defect"):
+        op(planted())
+
+
+def test_exp_sl2_large_squeeze_passes_relative_gate():
+    # entries ~e^20: the absolute defect, which the old gate judged, is far above tol
+    s = exp_sl2(from_angles(ThetaAngles.one_dim(0.0, 0.0, 40.0), M1D))
+    assert s.symplectic_defect() > EXPONENTIAL_TOL
+
+
+def test_overflowed_exponential_is_refused():
+    with pytest.raises(ConstraintViolation):
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_sl2(from_angles(ThetaAngles.one_dim(0.0, 0.0, 2000.0), M1D))

@@ -23,7 +23,6 @@ from lctkit.weyl import (
     engine_transform_rows,
     first_order_action,
     generator_basis,
-    normal_order,
     printed_transform_rows,
     raw_ladder,
     transform_generators,
@@ -44,16 +43,8 @@ def test_reorder_p_x():
 
 
 def test_already_canonical():
-    xp = ALG.word("x", "p")
-    assert normal_order(xp) == xp
-
-
-def test_normal_order_idempotent_on_random_products():
-    rng = random.Random(11)
-    for _ in range(25):
-        factors = [("x", 0) if rng.random() < 0.5 else ("p", 0) for _ in range(rng.randint(1, 6))]
-        poly = ALG.word(*factors)
-        assert normal_order(normal_order(poly)) == normal_order(poly)
+    # x p is stored as the single canonical monomial it already is
+    assert ALG.word("x", "p").terms == {(0, (1,), (1,)): ONE}
 
 
 def test_cross_index_factors_commute():
@@ -326,6 +317,33 @@ def test_published_third_row_matches_engine_on_random_matrices():
     for _ in range(12):
         s = _random_rational_symplectic(rng)
         assert printed_transform_rows(s)["x"] == engine_transform_rows(s)["x"]
+
+
+def _printed_rows_float_reference(pi, xi, th, la):
+    # the published law written out in float arithmetic, independently of weyl
+    return {
+        "+": (0.5 * (pi * pi + th * th), 0.5 * (xi * xi - la * la), pi * th + xi * la),
+        "-": (0.5 * (pi * pi + th * th), -0.5 * (xi * xi - la * la), pi * th - xi * la),
+        "x": (pi * xi + th * la, pi * xi - th * la, pi * la + th * xi),
+    }
+
+
+def test_printed_rows_on_floats_are_bit_identical_to_float_formula():
+    rng = random.Random(5)
+    for _ in range(200):
+        pi, xi, th, la = (rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(4))
+        rows = printed_transform_rows([[pi, xi], [th, la]])
+        reference = _printed_rows_float_reference(pi, xi, th, la)
+        for kind in ("+", "-", "x"):
+            assert all(type(v) is float for v in rows[kind])
+            assert [v.hex() for v in rows[kind]] == [v.hex() for v in reference[kind]]
+
+
+def test_printed_rows_are_exact_on_fractions():
+    s = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    rows = printed_transform_rows(s)
+    assert rows["+"] == (Fraction(1, 2), Fraction(7, 50), Fraction(0))
+    assert all(type(v) is Fraction for row in rows.values() for v in row)
 
 
 def test_published_first_rows_fail_at_identity():
