@@ -408,71 +408,56 @@ def dispersion_generators(alg: WeylAlgebra) -> dict:
 class ExactSpanSolver:
     """Solve target = sum_k c_k basis_k exactly over Q(i, sqrt2).
 
-    The basis must be linearly independent; elimination is performed once so
-    repeated solves are cheap.
+    The basis must be linearly independent.  Each basis polynomial is reduced
+    against the earlier rows and kept as a sparse echelon row: its pivot
+    monomial, its reduced terms scaled so the pivot coefficient is 1, and the
+    combination of basis indices it equals.  A solve reduces the target through
+    the rows in order and touches only the monomials it meets.
     """
 
     def __init__(self, basis: list[WeylPolynomial]):
         if not basis:
             raise ValueError("empty basis")
         self.basis = list(basis)
-        monos = sorted({m for q in basis for m in q.terms}, key=_mono_sort_key)
-        self.mono_index = {m: i for i, m in enumerate(monos)}
-        rows, cols = len(monos), len(basis)
-        a = [[ZERO] * cols for _ in range(rows)]
-        for j, q in enumerate(basis):
-            for m, c in q.terms.items():
-                a[self.mono_index[m]][j] = c
-        # carry the elimination matrix so solves are a single mat-vec
-        e = [[ONE if i == j else ZERO for j in range(rows)] for i in range(rows)]
-        pivots = []
-        r = 0
-        for col in range(cols):
-            piv = next((i for i in range(r, rows) if not a[i][col].is_zero()), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            e[r], e[piv] = e[piv], e[r]
-            inv = a[r][col].inverse()
-            a[r] = [v * inv for v in a[r]]
-            e[r] = [v * inv for v in e[r]]
-            for i in range(rows):
-                if i != r and not a[i][col].is_zero():
-                    f = a[i][col]
-                    a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-                    e[i] = [vi - f * vr for vi, vr in zip(e[i], e[r])]
-            pivots.append((r, col))
-            r += 1
-        if len(pivots) != cols:
-            raise SpanFailure("basis polynomials are linearly dependent")
-        self._elim = e
-        self._pivots = pivots
-        self._rank = r
-        self._rows = rows
+        self._rows = []
+        for k, q in enumerate(self.basis):
+            terms, combo = self._reduce(q.terms, {k: ONE})
+            if not terms:
+                raise SpanFailure("basis polynomials are linearly dependent")
+            pivot, lead = next(iter(terms.items()))
+            inv = lead.inverse()
+            self._rows.append((
+                pivot,
+                {m: v * inv for m, v in terms.items()},
+                {j: v * inv for j, v in combo.items()},
+            ))
+
+    def _reduce(self, terms: dict, combo: dict):
+        """Subtract the rows' multiples that clear each pivot from terms, in order."""
+        terms = dict(terms)
+        for pivot, row_terms, row_combo in self._rows:
+            c = terms.get(pivot)
+            if c is not None:
+                _subtract(terms, row_terms, c)
+                _subtract(combo, row_combo, c)
+        return terms, combo
 
     def solve(self, target: WeylPolynomial):
         """Exact coefficients over the basis, or None if target is outside the span."""
-        t = [ZERO] * self._rows
-        for m, c in target.terms.items():
-            i = self.mono_index.get(m)
-            if i is None:
-                return None
-            t[i] = c
-        reduced = []
-        for i in range(self._rows):
-            acc = ZERO
-            row = self._elim[i]
-            for j, tv in enumerate(t):
-                if not tv.is_zero():
-                    acc = acc + row[j] * tv
-            reduced.append(acc)
-        for i in range(self._rank, self._rows):
-            if not reduced[i].is_zero():
-                return None
-        out = [ZERO] * len(self.basis)
-        for r, col in self._pivots:
-            out[col] = reduced[r]
-        return out
+        left, combo = self._reduce(target.terms, {})
+        if left:
+            return None
+        return [-combo.get(k, ZERO) for k in range(len(self.basis))]
+
+
+def _subtract(acc: dict, row: dict, c: GaussianRational):
+    """acc -= c * row, dropping entries that cancel."""
+    for key, v in row.items():
+        w = acc.get(key, ZERO) - c * v
+        if w.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = w
 
 
 def generator_basis(alg: WeylAlgebra):
