@@ -3,10 +3,10 @@
 Each table stores the identities exactly as printed, line by line.  The
 normal-ordering engine recomputes every left-hand side from first principles,
 so a table line is a claim under test: lines that fail are reported together
-with the engine-derived correct right-hand side (exact, re-expanded over the
-appropriate generator basis).  One-dimensional tables use the sign=+1
-convention, tensor tables the sign=-1 convention; `verify_table` applies the
-owning convention automatically.
+with the engine-derived correct right-hand side (exact, re-expanded over x,
+p, the generators and 1).  One-dimensional tables use the sign=+1 convention,
+tensor tables the sign=-1 convention; `verify_table` applies the owning
+convention automatically.
 """
 
 from __future__ import annotations
@@ -355,42 +355,18 @@ class TableReport:
         }
 
 
-class _CorrectionSolvers:
-    """Lazy per-run solvers for re-expanding corrected right-hand sides."""
+def correction_basis(alg: WeylAlgebra):
+    """Labels and polynomials of x, p, the generators, then 1.
 
-    def __init__(self, alg):
-        self.alg = alg
-        self._linear = None
-        self._quadratic = None
-
-    def linear(self):
-        if self._linear is None:
-            alg = self.alg
-            labels = [f"x{mu}" for mu in range(alg.dim)]
-            labels += [f"p{mu}" for mu in range(alg.dim)]
-            labels.append("1")
-            polys = [alg.x(mu) for mu in range(alg.dim)]
-            polys += [alg.p(mu) for mu in range(alg.dim)]
-            polys.append(alg.one())
-            self._linear = (labels, ExactSpanSolver(polys))
-        return self._linear
-
-    def quadratic(self):
-        if self._quadratic is None:
-            gl, polys = generator_basis(self.alg)
-            labels = [label_text(l) for l in gl] + ["1"]
-            self._quadratic = (labels, ExactSpanSolver(polys + [self.alg.one()]))
-        return self._quadratic
-
-    def corrected(self, lhs):
-        out = {"normal_form": lhs.text(), "expansion": None}
-        labels, solver = self.linear() if lhs.degree() <= 1 else self.quadratic()
-        coeffs = solver.solve(lhs)
-        if coeffs is not None:
-            out["expansion"] = {
-                lab: c.text() for lab, c in zip(labels, coeffs) if not c.is_zero()
-            }
-        return out
+    Every table left-hand side has homogeneous parity, so a degree <= 1 form
+    expands over x, p and 1 alone and a quadratic one over the generators and 1.
+    """
+    n = alg.dim
+    gen_labels, gens = generator_basis(alg)
+    labels = [f"x{mu}" for mu in range(n)] + [f"p{mu}" for mu in range(n)]
+    labels += [label_text(l) for l in gen_labels] + ["1"]
+    polys = [alg.x(mu) for mu in range(n)] + [alg.p(mu) for mu in range(n)]
+    return labels, polys + gens + [alg.one()]
 
 
 def verify_table(table: str, metric: Metric | None = None, sign: int | None = None) -> TableReport:
@@ -411,13 +387,20 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     use_sign = default_sign if sign is None else sign
     alg = WeylAlgebra(metric, use_sign)
     report = TableReport(table, metric, use_sign)
-    solvers = _CorrectionSolvers(alg)
+    solver = None
     for line, indices, lhs, rhs in builder(alg):
         report.checked += 1
         residual = lhs - rhs
-        if not residual.is_zero():
-            report.failed.append(
-                FailedIdentity(line, indices, residual.text(), solvers.corrected(lhs))
-            )
-            report.failed_lines.add(line)
+        if residual.is_zero():
+            continue
+        if solver is None:
+            labels, polys = correction_basis(alg)
+            solver = ExactSpanSolver(polys)
+        coeffs = solver.solve(lhs)
+        expansion = None if coeffs is None else {
+            lab: c.text() for lab, c in zip(labels, coeffs) if not c.is_zero()
+        }
+        corrected = {"normal_form": lhs.text(), "expansion": expansion}
+        report.failed.append(FailedIdentity(line, indices, residual.text(), corrected))
+        report.failed_lines.add(line)
     return report
