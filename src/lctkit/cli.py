@@ -387,9 +387,8 @@ def expmap(ctx, input_path):
         raise click.UsageError("signature does not match dim")
     try:
         m = symplectic.from_angles(theta, metric)
-        s = symplectic.exp_sp(m) if n > 1 else symplectic.exp_sl2(m)
-    except (symplectic.DimensionMismatch, symplectic.ConstraintViolation,
-            symplectic.NotTraceless) as exc:
+        s = symplectic.exp_sp(m)
+    except (symplectic.DimensionMismatch, symplectic.ConstraintViolation) as exc:
         raise click.UsageError(str(exc))
     payload = {
         "dim": n,

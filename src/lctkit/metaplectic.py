@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import CutoffTooSmall, TruncatedOperator, dispersion_matrices, ladder_matrices
-from .symplectic import DimensionMismatch, ThetaAngles, exp_sl2, from_angles
+from .symplectic import DimensionMismatch, ThetaAngles, exp_sp, from_angles
 from .weyl import EUCLIDEAN_1D, WeylAlgebra, printed_transform_rows, transform_generators
 
 UNITARITY_TOL = 1e-12
@@ -148,14 +148,14 @@ def verify_homomorphism(angles: ThetaAngles, B: float, cutoff: int, tol: float) 
     """Compare U p U+, U x U+ against the classical matrix action.
 
     Both sides are computed independently: the quantum side by conjugation,
-    the classical side from the closed-form 2x2 exponential.  Residuals are
+    the classical side from the 2x2 matrix exponential.  Residuals are
     taken on the leading cutoff/4 block.
     """
     if cutoff < 32:
         raise CutoffTooSmall("homomorphism check needs cutoff >= 32")
     u = build_unitary(angles, B, cutoff)
     p_hat, x_hat = reduced_quadratures(cutoff)
-    (pi, xi), (th, la) = _group_rows(exp_sl2(from_angles(angles, EUCLIDEAN_1D)))
+    (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(angles, EUCLIDEAN_1D)))
     block = cutoff // 4
     lhs_p = _leading_conjugate(u, p_hat, block)
     lhs_x = _leading_conjugate(u, x_hat, block)
@@ -219,7 +219,7 @@ def verify_basis_transformation(angles: ThetaAngles, B: float, cutoff: int, tol:
     if cutoff < 32:
         raise CutoffTooSmall("basis-law check needs cutoff >= 32")
     u = build_unitary(angles, B, cutoff)
-    s = exp_sl2(from_angles(angles, EUCLIDEAN_1D))
+    s = exp_sp(from_angles(angles, EUCLIDEAN_1D))
     s_rat = rationalize_symplectic(s)
     alg = WeylAlgebra(EUCLIDEAN_1D, +1)
     mats = dict(zip(("+", "-", "x"), generator_matrices(B, cutoff)))

@@ -37,10 +37,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible dimensions or metrics."""
 
 
-class NotTraceless(ValueError):
-    """Closed-form 2x2 exponential needs a traceless input."""
-
-
 class ConstraintViolation(ValueError):
     """Algebra-matrix block constraints are violated beyond tolerance."""
 
@@ -201,46 +197,6 @@ def from_angles(angles: ThetaAngles, metric: Metric) -> AlgebraMatrix:
     return AlgebraMatrix(metric, m1, m2, m3, m4)
 
 
-def _sinc(x: float) -> float:
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.sin(x) / x
-
-
-def _sinhc(x: float) -> float:
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return np.sinh(x) / x
-
-
-def exp_sl2(m: AlgebraMatrix) -> SymplecticMatrix:
-    """Closed-form exponential of a traceless 2x2 algebra element.
-
-    With d = det(M): cos/sinc branch for d > 0, cosh/sinhc for d < 0, and
-    1 + M when |d| is at roundoff (the nilpotent shear case).
-    """
-    if m.dim != 1:
-        raise DimensionMismatch("closed-form exponential is the N = 1 path")
-    full = m.full()
-    if abs(full[0, 0] + full[1, 1]) > 1e-12:
-        raise NotTraceless(f"trace = {full[0, 0] + full[1, 1]!r}")
-    d = float(np.linalg.det(full))
-    eye = np.eye(2)
-    if abs(d) < 1e-14:
-        out = eye + full
-    elif d > 0:
-        r = np.sqrt(d)
-        out = np.cos(r) * eye + _sinc(r) * full
-    else:
-        r = np.sqrt(-d)
-        out = np.cosh(r) * eye + _sinhc(r) * full
-    s = SymplecticMatrix.from_full(m.metric, out)
-    _require_symplectic(s, EXPONENTIAL_TOL, "exp_sl2 output")
-    return s
-
-
 def exp_sp(m: AlgebraMatrix) -> SymplecticMatrix:
     """Scaling-and-squaring exponential with an order-12 series kernel."""
     full = m.full()
@@ -260,6 +216,13 @@ def exp_sp(m: AlgebraMatrix) -> SymplecticMatrix:
     s = SymplecticMatrix.from_full(m.metric, out)
     _require_symplectic(s, EXPONENTIAL_TOL, "exp_sp output")
     return s
+
+
+def exp_sl2(m: AlgebraMatrix) -> SymplecticMatrix:
+    """Exponential of a 2x2 algebra element (the N = 1 case of exp_sp)."""
+    if m.dim != 1:
+        raise DimensionMismatch("exp_sl2 is the N = 1 path")
+    return exp_sp(m)
 
 
 def is_symplectic(s: SymplecticMatrix, tol: float) -> bool:

@@ -342,11 +342,12 @@ def test_basis_b_out_of_range_is_usage_error(runner, b, grid):
     assert "not finite and positive" in result.output
 
 
-_SQUEEZE_40 = json.dumps({"dim": 1, "theta_plus": 0.0, "theta_minus": 0.0, "theta_cross": 40.0})
+_LARGE_SQUEEZE = json.dumps({"dim": 1, "theta_plus": 10.0, "theta_minus": 30.0,
+                             "theta_cross": 40.0})
 
 
 def test_expmap_large_squeeze_passes_relative_gate(runner):
-    result = runner.invoke(main, ["expmap"], input=_SQUEEZE_40)
+    result = runner.invoke(main, ["expmap"], input=_LARGE_SQUEEZE)
     assert result.exit_code == 0, result.output
     # the printed residual stays absolute
     assert json.loads(result.stdout)["symplectic_residual"] > 1.0

@@ -250,9 +250,16 @@ def test_gate_refuses_planted_defects_at_both_scales(op, planted):
 
 
 def test_exp_sl2_large_squeeze_passes_relative_gate():
-    # entries ~e^20: the absolute defect, which the old gate judged, is far above tol
-    s = exp_sl2(from_angles(ThetaAngles.one_dim(0.0, 0.0, 40.0), M1D))
+    # entries ~4e10: the absolute defect, which the old gate judged, is far above tol
+    s = exp_sl2(from_angles(ThetaAngles.one_dim(10.0, 30.0, 40.0), M1D))
     assert s.symplectic_defect() > EXPONENTIAL_TOL
+
+
+def test_exp_sl2_keeps_the_small_singular_value_of_a_large_squeeze():
+    # exp(diag(-20, 20)); cosh(r) + sinhc(r) M would lose Pi to cancellation
+    s = exp_sl2(from_angles(ThetaAngles.one_dim(0.0, 0.0, 40.0), M1D))
+    assert abs(s.Pi[0, 0] / np.exp(-20.0) - 1.0) < 1e-12
+    assert abs(np.linalg.det(s.full()) - 1.0) < 1e-12
 
 
 def test_overflowed_exponential_is_refused():
