@@ -55,16 +55,19 @@ def _rows_payload(grid, values) -> dict:
     }
 
 
-def _read_wavefunction(path: str) -> hermite.SampledWavefunction:
+def _read_text(path: str) -> str:
+    """Contents of path, or of stdin for "-"."""
     try:
         if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _read_wavefunction(path: str) -> hermite.SampledWavefunction:
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "x,re,im":
         raise click.UsageError("wavefunction CSV must start with header 'x,re,im'")
     xs, vals = [], []
@@ -319,13 +322,13 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     as warnings together with corrected forms; genuine residual or closure
     failures exit 1.
     """
-    metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
     theta = _parse_angles(angles)
     _require_finite(tol, "tol")
     homomorphism, basis_law = homomorphism or run_all, basis_law or run_all
     started = time.perf_counter()
     checks = []
     try:
+        metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
         for name in tables.TABLE_IDS if run_all else table_names:
             if name not in tables.TABLE_IDS:
                 raise click.UsageError(
@@ -370,8 +373,7 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
 def expmap(ctx, input_path):
     """Exponentiate angle parameters to a (pseudo-)symplectic matrix."""
     try:
-        text = sys.stdin.read() if input_path == "-" else open(input_path, encoding="utf-8").read()
-        raw = json.loads(text)
+        raw = json.loads(_read_text(input_path))
         n = int(raw["dim"])
         sig = raw.get("signature", [n, 0])
         metric = weyl.Metric(int(sig[0]), int(sig[1]))
@@ -410,6 +412,9 @@ def _operator_payload(op: fock.TruncatedOperator) -> dict:
     }
 
 
+_REP_MAX_CUTOFF = 1024
+
+
 @main.command()
 @click.option("--b", type=float, default=1.0, show_default=True,
               help="Dispersion scale B.")
@@ -420,6 +425,8 @@ def _operator_payload(op: fock.TruncatedOperator) -> dict:
 @click.pass_context
 def rep(ctx, b, cutoff, which):
     """Emit truncated operator matrices as JSON."""
+    if cutoff > _REP_MAX_CUTOFF:
+        raise click.UsageError(f"rep prints dense matrices; cutoff must be <= {_REP_MAX_CUTOFF}")
     try:
         zminus, zplus = fock.ladder_matrices(cutoff)
         jplus, jminus, jcross = fock.dispersion_matrices(b, cutoff)

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import lctkit
+from lctkit import fock
 from lctkit.cli import main
 
 
@@ -118,6 +119,13 @@ def test_verify_erratum_is_warning_not_failure(runner):
 def test_verify_unknown_table_usage_error(runner):
     result = runner.invoke(main, ["verify", "--table", "Eq999"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_verify_nonpositive_dim_is_usage_error(runner, dim):
+    result = runner.invoke(main, ["verify", "--dim", dim, "--table", "Eq67"])
+    assert result.exit_code == 2
+    assert "N = n_plus + n_minus >= 1" in result.output
 
 
 def test_verify_homomorphism_zero_angles(runner):
@@ -277,6 +285,12 @@ def test_expmap_malformed(runner):
     assert result.exit_code == 2
 
 
+def test_expmap_missing_input_file_is_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["expmap", "--input", str(tmp_path / "missing.json")])
+    assert result.exit_code == 2
+    assert "cannot read" in result.output
+
+
 def test_rep_jplus_diagonal(runner):
     result = runner.invoke(main, ["rep", "--b", "1.0", "--cutoff", "5", "--which", "jplus"])
     assert result.exit_code == 0
@@ -295,6 +309,17 @@ def test_rep_all_operators(runner):
 def test_rep_cutoff_guard(runner):
     result = runner.invoke(main, ["rep", "--cutoff", "1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("cutoff", ["1025", "100000"])
+def test_rep_cutoff_above_limit_is_refused_before_building(runner, monkeypatch, cutoff):
+    def unreachable(*args):
+        raise AssertionError("rep built matrices for a refused cutoff")
+
+    monkeypatch.setattr(fock, "ladder_matrices", unreachable)
+    result = runner.invoke(main, ["rep", "--cutoff", cutoff])
+    assert result.exit_code == 2
+    assert "cutoff must be <= 1024" in result.output
 
 
 _VALID_SPEC = {"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 32,
