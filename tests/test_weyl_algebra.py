@@ -1,11 +1,15 @@
 """Exact operator algebra: ordering, commutators, generators, transforms."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lctkit.scalars import GaussianRational, I, ONE
+from lctkit.scalars import GaussianRational, I, ONE, ZERO
+from lctkit.tables import correction_basis
 from lctkit.weyl import (
     EUCLIDEAN_1D,
     AlgebraElement,
@@ -14,7 +18,9 @@ from lctkit.weyl import (
     IndexOutOfRange,
     Metric,
     NotSymplectic,
+    SpanFailure,
     WeylAlgebra,
+    _mono_sort_key,
     build_generator,
     build_ladder,
     closure_and_constants,
@@ -226,6 +232,127 @@ def test_span_solver_detects_outside_vector():
     _, polys = generator_basis(alg)
     solver = ExactSpanSolver(polys)
     assert solver.solve(alg.x(0)) is None
+
+
+class _DenseSpanSolver:
+    """Reference: dense Gauss-Jordan elimination that carries the full
+    monomials x monomials elimination matrix, so a solve is one mat-vec."""
+
+    def __init__(self, basis):
+        monos = sorted({m for q in basis for m in q.terms}, key=_mono_sort_key)
+        self.mono_index = {m: i for i, m in enumerate(monos)}
+        rows, cols = len(monos), len(basis)
+        a = [[ZERO] * cols for _ in range(rows)]
+        for j, q in enumerate(basis):
+            for m, c in q.terms.items():
+                a[self.mono_index[m]][j] = c
+        e = [[ONE if i == j else ZERO for j in range(rows)] for i in range(rows)]
+        self.pivots = []
+        r = 0
+        for col in range(cols):
+            piv = next((i for i in range(r, rows) if not a[i][col].is_zero()), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            e[r], e[piv] = e[piv], e[r]
+            inv = a[r][col].inverse()
+            a[r] = [v * inv for v in a[r]]
+            e[r] = [v * inv for v in e[r]]
+            for i in range(rows):
+                if i != r and not a[i][col].is_zero():
+                    f = a[i][col]
+                    a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+                    e[i] = [vi - f * vr for vi, vr in zip(e[i], e[r])]
+            self.pivots.append((r, col))
+            r += 1
+        if len(self.pivots) != cols:
+            raise SpanFailure("basis polynomials are linearly dependent")
+        self.elim, self.rank, self.rows, self.cols = e, r, rows, cols
+
+    def solve(self, target):
+        t = [ZERO] * self.rows
+        for m, c in target.terms.items():
+            if m not in self.mono_index:
+                return None
+            t[self.mono_index[m]] = c
+        reduced = [
+            sum((row[j] * tv for j, tv in enumerate(t) if not tv.is_zero()), ZERO)
+            for row in self.elim
+        ]
+        if any(not v.is_zero() for v in reduced[self.rank:]):
+            return None
+        out = [ZERO] * self.cols
+        for r, col in self.pivots:
+            out[col] = reduced[r]
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_solvers(n_plus, n_minus, sign):
+    alg = WeylAlgebra(Metric(n_plus, n_minus), sign)
+    _, polys = correction_basis(alg)
+    return alg, polys, ExactSpanSolver(polys), _DenseSpanSolver(polys)
+
+
+_SIGNATURES = [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1)]
+_exact = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_coefficient = st.one_of(
+    st.just(ZERO),
+    st.builds(GaussianRational, _exact, _exact),
+    st.builds(GaussianRational, _exact, _exact, _exact, _exact),
+)
+
+
+@st.composite
+def _span_case(draw):
+    sig = draw(st.sampled_from(_SIGNATURES))
+    sign = draw(st.sampled_from([+1, -1]))
+    alg, polys, sparse, dense = _correction_solvers(*sig, sign)
+    coeffs = draw(st.lists(_coefficient, min_size=len(polys), max_size=len(polys)))
+    target = alg.zero()
+    for c, q in zip(coeffs, polys):
+        target = target + q * c
+    return alg, polys, sparse, dense, coeffs, target
+
+
+@settings(max_examples=40, deadline=None)
+@given(_span_case())
+def test_sparse_solve_matches_dense_reference_and_rebuilds_target(case):
+    alg, polys, sparse, dense, coeffs, target = case
+    solved = sparse.solve(target)
+    assert solved == dense.solve(target) == coeffs
+    rebuilt = alg.zero()
+    for c, q in zip(solved, polys):
+        rebuilt = rebuilt + q * c
+    assert rebuilt == target
+
+
+@settings(max_examples=20, deadline=None)
+@given(_span_case(), st.sampled_from(["cubic", "B", "B*x"]))
+def test_target_outside_the_basis_is_none_in_both(case, extra):
+    alg, _, sparse, dense, _, target = case
+    outside = {
+        "cubic": alg.x(0) * alg.x(0) * alg.p(0),
+        "B": alg.dispersion_scale(2),
+        "B*x": alg.dispersion_scale(1) * alg.x(0),
+    }[extra]
+    target = target + outside
+    assert sparse.solve(target) is None
+    assert dense.solve(target) is None
+
+
+@pytest.mark.parametrize("extra", ["repeat", "combination", "zero"])
+def test_dependent_basis_raises_span_failure(extra):
+    alg = WeylAlgebra(Metric(2, 0), -1)
+    _, polys = correction_basis(alg)
+    polys = polys + [{
+        "repeat": polys[3],
+        "combination": polys[0] * Fraction(1, 3) - polys[-2] * I,
+        "zero": alg.zero(),
+    }[extra]]
+    for solver in (ExactSpanSolver, _DenseSpanSolver):
+        with pytest.raises(SpanFailure):
+            solver(polys)
 
 
 # -- closure and structure constants -----------------------------------------
