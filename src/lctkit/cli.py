@@ -62,7 +62,7 @@ def _read_text(path: str) -> str:
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 

@@ -247,6 +247,14 @@ def test_malformed_csv_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_non_utf8_csv_is_usage_error(runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfex,re,im\n")
+    result = runner.invoke(main, ["dispersion", "--input", str(bad)])
+    assert result.exit_code == 2
+    assert "cannot read" in result.output
+
+
 def test_dispersion_command(runner, tmp_path):
     wf_path = str(tmp_path / "wf.csv")
     _write_ground_state(runner, wf_path, n=2)
