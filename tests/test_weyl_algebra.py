@@ -20,7 +20,6 @@ from lctkit.weyl import (
     NotSymplectic,
     SpanFailure,
     WeylAlgebra,
-    _mono_sort_key,
     build_generator,
     build_ladder,
     closure_and_constants,
@@ -239,7 +238,7 @@ class _DenseSpanSolver:
     monomials x monomials elimination matrix, so a solve is one mat-vec."""
 
     def __init__(self, basis):
-        monos = sorted({m for q in basis for m in q.terms}, key=_mono_sort_key)
+        monos = dict.fromkeys(m for q in basis for m in q.terms)
         self.mono_index = {m: i for i, m in enumerate(monos)}
         rows, cols = len(monos), len(basis)
         a = [[ZERO] * cols for _ in range(rows)]
