@@ -7,35 +7,40 @@ Every coefficient that enters the symbolic operator algebra is an element
 with a, b, c, d exact rationals.  Plain Gaussian rationals are the b = d = 0
 case; the sqrt(2) extension is what makes the ladder-operator normalisation
 1/sqrt(2) representable without rounding.
+
+An element is stored as four integer numerators over one shared positive
+denominator q, normalised by a single gcd(a, b, c, d, q): every value has one
+representation (zero is 0/1), which equality and hashing compare directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from math import gcd, lcm
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def _make(a: int, b: int, c: int, d: int, q: int) -> "GaussianRational":
+    """The element (a + b*s2 + (c + d*s2)*i)/q, q > 0, in lowest terms."""
+    g = gcd(a, b, c, d, q)
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._c, z._d, z._q = a // g, b // g, c // g, d // g, q // g
+    return z
 
 
 class GaussianRational:
     """A complex number (a + b*sqrt2) + (c + d*sqrt2)*i with rational a,b,c,d."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_a", "_b", "_c", "_d", "_q")
 
     def __init__(self, a=0, c=0, b=0, d=0):
         # Positional order (re, im) first so GaussianRational(1, 2) reads 1 + 2i.
-        self.a = _as_fraction(a)
-        self.c = _as_fraction(c)
-        self.b = _as_fraction(b)
-        self.d = _as_fraction(d)
+        parts = (a, b, c, d)
+        for v in parts:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+        # parts are in lowest terms, so over the lcm of their denominators gcd = 1
+        self._q = q = lcm(*(v.denominator for v in parts))
+        self._a, self._b, self._c, self._d = (v.numerator * (q // v.denominator) for v in parts)
 
     # -- constructors -------------------------------------------------
 
@@ -44,48 +49,55 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            return _make(value.numerator, 0, 0, 0, value.denominator)
         raise TypeError(f"cannot coerce {type(value).__name__} into GaussianRational")
 
-    # -- predicates ---------------------------------------------------
+    # -- parts and predicates -----------------------------------------
+
+    a = property(lambda self: Fraction(self._a, self._q))
+    b = property(lambda self: Fraction(self._b, self._q))
+    c = property(lambda self: Fraction(self._c, self._q))
+    d = property(lambda self: Fraction(self._d, self._q))
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self._a or self._b or self._c or self._d)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._b or self._c or self._d)
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self._c or self._d)
 
     @property
     def re(self) -> Fraction:
         """Rational part of the real component (exact when sqrt2 part vanishes)."""
-        if self.b:
+        if self._b:
             raise ValueError("real part carries a sqrt(2) component; not a plain rational")
         return self.a
 
     @property
     def im(self) -> Fraction:
-        if self.d:
+        if self._d:
             raise ValueError("imaginary part carries a sqrt(2) component; not a plain rational")
         return self.c
 
     def as_fraction(self) -> Fraction:
-        if not self.is_real() or self.b:
+        if not self.is_rational():
             raise ValueError(f"{self} is not a plain rational")
         return self.a
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.a + o.a, self.c + o.c, self.b + o.b, self.d + o.d)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        q1, q2 = self._q, o._q
+        return _make(self._a * q2 + o._a * q1, self._b * q2 + o._b * q1,
+                     self._c * q2 + o._c * q1, self._d * q2 + o._d * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.a, -self.c, -self.b, -self.d)
+        return _make(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -94,41 +106,39 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        if not (self.b or self.d or o.b or o.d):
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
+        if not (b1 or d1 or b2 or d2):
             # plain Gaussian rationals, the common case
-            return GaussianRational(
-                self.a * o.a - self.c * o.c, self.a * o.c + self.c * o.a
-            )
-        # (p1 + q1*s)(p2 + q2*s) with p, q complex rationals and s^2 = 2.
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        # real*real and imag*imag contributions
-        ra = a1 * a2 + 2 * (b1 * b2) - c1 * c2 - 2 * (d1 * d2)
-        rb = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-        # cross terms give the imaginary component
-        rc = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-        rd = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-        return GaussianRational(ra, rc, rb, rd)
+            return _make(a1 * a2 - c1 * c2, 0, a1 * c2 + c1 * a2, 0, self._q * o._q)
+        # (p1 + r1*s)(p2 + r2*s) with p, r complex rationals and s^2 = 2:
+        # real*real and imag*imag contributions, then the imaginary cross terms
+        return _make(
+            a1 * a2 + 2 * (b1 * b2) - c1 * c2 - 2 * (d1 * d2),
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            self._q * o._q,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
         if self.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
-        # z = p + q*s with p = a + ci, q = b + di.  Then
-        # 1/z = (p - q*s) / (p**2 - 2 q**2), the denominator a Gaussian rational.
-        a, b, c, d = self.a, self.b, self.c, self.d
-        # p^2 - 2 q^2 = (a + ci)^2 - 2(b + di)^2
+        # z = (p + r*s)/q with p = a + ci, r = b + di, so 1/z = q (p - r*s) conj(u) / |u|^2
+        # with u = p**2 - 2 r**2 = ure + uim*i, a Gaussian integer that is 0 only if z is
+        a, b, c, d, q = self._a, self._b, self._c, self._d, self._q
         ure = a * a - c * c - 2 * (b * b - d * d)
         uim = 2 * a * c - 4 * b * d
-        norm = ure * ure + uim * uim
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        # (p - q*s) * conj(u) / |u|^2
-        w = GaussianRational(a, c, -b, -d)
-        uconj = GaussianRational(ure / norm, -uim / norm)
-        return w * uconj
+        return _make(
+            q * (a * ure + c * uim),
+            -q * (b * ure + d * uim),
+            q * (c * ure - a * uim),
+            q * (b * uim - d * ure),
+            ure * ure + uim * uim,
+        )
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -139,7 +149,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -149,7 +159,7 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.a, -self.c, self.b, -self.d)
+        return _make(self._a, self._b, -self._c, -self._d, self._q)
 
     # -- comparison / hashing ------------------------------------------
 
@@ -158,10 +168,10 @@ class GaussianRational:
             o = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
+        return (self._a, self._b, self._c, self._d, self._q) == (o._a, o._b, o._c, o._d, o._q)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self._a, self._b, self._c, self._d, self._q))
 
     def __bool__(self):
         return not self.is_zero()
@@ -171,13 +181,13 @@ class GaussianRational:
     def text(self) -> str:
         """Canonical text form: `a/b+c/d*i`, with `*s2` marking sqrt(2) parts."""
         parts = []
-        if self.a:
+        if self._a:
             parts.append(str(self.a))
-        if self.b:
+        if self._b:
             parts.append(f"{self.b}*s2")
-        if self.c:
+        if self._c:
             parts.append(f"{self.c}*i")
-        if self.d:
+        if self._d:
             parts.append(f"{self.d}*s2*i")
         if not parts:
             return "0"
