@@ -25,7 +25,7 @@ from .weyl import (
     build_ladder,
     commutator,
     dispersion_generators,
-    generator_basis,
+    generator_labels,
     label_text,
     raw_ladder,
 )
@@ -39,7 +39,7 @@ TWO_I = GaussianRational(0, 2)
 # -- one-dimensional tables (sign = +1) ------------------------------------
 
 
-def _eq10(alg):
+def _eq10(alg, gen):
     g = dispersion_generators(alg)
     four_i_b = alg.dispersion_scale(2) * GaussianRational(0, 4)
     yield 1, (), commutator(g["+"], g["-"]), four_i_b * g["x"]
@@ -47,34 +47,34 @@ def _eq10(alg):
     yield 3, (), commutator(g["x"], g["+"]), four_i_b * g["-"]
 
 
-def _eq15(alg):
+def _eq15(alg, gen):
     zm, zp = raw_ladder(alg, "-"), raw_ladder(alg, "+")
     yield 1, (), commutator(zm, zp), alg.dispersion_scale(2) * 2
 
 
-def _eq16(alg):
+def _eq16(alg, gen):
     yield 1, (), commutator(alg.x(), alg.p()), alg.scalar(I)
 
 
-def _eq17(alg):
+def _eq17(alg, gen):
     yield 1, (), commutator(build_ladder(alg, "-"), build_ladder(alg, "+")), alg.one()
 
 
-def _eq18(alg):
+def _eq18(alg, gen):
     x, p = alg.x(), alg.p()
     yield 1, (), commutator(x * x, p), x * TWO_I
     yield 2, (), commutator(alg.word("p", "x"), p), p * I
     yield 3, (), commutator(alg.word("x", "p"), p), p * I
 
 
-def _eq19(alg):
+def _eq19(alg, gen):
     x, p = alg.x(), alg.p()
     yield 1, (), commutator(p * p, x), -(p * TWO_I)
     yield 2, (), commutator(alg.word("p", "x"), x), -(x * I)
     yield 3, (), commutator(alg.word("x", "p"), x), -(x * I)
 
 
-def _eq20(alg):
+def _eq20(alg, gen):
     x, p = alg.x(), alg.p()
     px, xp = alg.word("p", "x"), alg.word("x", "p")
     yield 1, (), commutator(p * p, x * x), -((px + xp) * TWO_I)
@@ -82,30 +82,28 @@ def _eq20(alg):
     yield 3, (), commutator(x * x, px), x * x * TWO_I
 
 
-def _eq22(alg):
-    bp = build_generator(alg, "+")
-    bm = build_generator(alg, "-")
-    bx = build_generator(alg, "x")
+def _eq22(alg, gen):
+    bp, bm, bx = gen("+"), gen("-"), gen("x")
     yield 1, (), commutator(bp, bm), bx * I
     yield 2, (), commutator(bm, bx), -(bp * I)
     yield 3, (), commutator(bx, bp), bm * I
 
 
-def _eq23(alg):
+def _eq23(alg, gen):
     x, p = alg.x(), alg.p()
-    yield 1, (), commutator(build_generator(alg, "+"), p), x * HALF_I
-    yield 2, (), commutator(build_generator(alg, "-"), p), -(x * HALF_I)
-    yield 3, (), commutator(build_generator(alg, "x"), p), p * HALF_I
+    yield 1, (), commutator(gen("+"), p), x * HALF_I
+    yield 2, (), commutator(gen("-"), p), -(x * HALF_I)
+    yield 3, (), commutator(gen("x"), p), p * HALF_I
 
 
-def _eq24(alg):
+def _eq24(alg, gen):
     x, p = alg.x(), alg.p()
-    yield 1, (), commutator(build_generator(alg, "+"), x), -(p * HALF_I)
-    yield 2, (), commutator(build_generator(alg, "-"), x), -(p * HALF_I)
-    yield 3, (), commutator(build_generator(alg, "x"), x), -(x * HALF_I)
+    yield 1, (), commutator(gen("+"), x), -(p * HALF_I)
+    yield 2, (), commutator(gen("-"), x), -(p * HALF_I)
+    yield 3, (), commutator(gen("x"), x), -(x * HALF_I)
 
 
-def _eq27(alg):
+def _eq27(alg, gen):
     jp = dispersion_generators(alg)["+"]
     b = alg.dispersion_scale(2)
     zm, zp = build_ladder(alg, "-"), build_ladder(alg, "+")
@@ -114,7 +112,7 @@ def _eq27(alg):
     yield 3, (), jp, b * (zm * zp * 2 - 1)
 
 
-def _eq28(alg):
+def _eq28(alg, gen):
     jp = dispersion_generators(alg)["+"]
     zm, zp = raw_ladder(alg, "-"), raw_ladder(alg, "+")
     two_b = alg.dispersion_scale(2) * 2
@@ -125,21 +123,21 @@ def _eq28(alg):
 # -- tensor tables (sign = -1) ----------------------------------------------
 
 
-def _eq67(alg):
+def _eq67(alg, gen):
     n = alg.dim
     for mu, nu in itertools.product(range(n), repeat=2):
         rhs = alg.scalar(I * alg.metric.eta(mu, nu))
         yield 1, (mu, nu), commutator(alg.p(mu), alg.x(nu)), rhs
 
 
-def _eq68(alg):
+def _eq68(alg, gen):
     n = alg.dim
     for mu, nu in itertools.product(range(n), repeat=2):
         lhs = commutator(build_ladder(alg, "+", mu), build_ladder(alg, "-", nu))
         yield 1, (mu, nu), lhs, alg.scalar(alg.metric.eta(mu, nu))
 
 
-def _eq69(alg):
+def _eq69(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
     x, p = alg.x, alg.p
@@ -151,7 +149,7 @@ def _eq69(alg):
         yield 3, (mu, nu, rho), commutator(x(mu) * p(nu), p(rho)), -(p(nu) * eta(mu, rho) * I)
 
 
-def _eq70(alg):
+def _eq70(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
     x, p = alg.x, alg.p
@@ -163,33 +161,33 @@ def _eq70(alg):
         yield 3, (mu, nu, rho), commutator(x(mu) * p(nu), x(rho)), x(mu) * eta(nu, rho) * I
 
 
-def _eq71(alg):
+def _eq71(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
     x, p = alg.x, alg.p
     for mu, nu, rho in itertools.product(range(n), repeat=3):
         sym = (x(mu) * eta(nu, rho) + x(nu) * eta(mu, rho)) * QUARTER_I
-        yield 1, (mu, nu, rho), commutator(build_generator(alg, "+", mu, nu), p(rho)), -sym
-        yield 2, (mu, nu, rho), commutator(build_generator(alg, "-", mu, nu), p(rho)), sym
-        yield 3, (mu, nu, rho), commutator(build_generator(alg, "x", mu, nu), p(rho)), -(
+        yield 1, (mu, nu, rho), commutator(gen("+", mu, nu), p(rho)), -sym
+        yield 2, (mu, nu, rho), commutator(gen("-", mu, nu), p(rho)), sym
+        yield 3, (mu, nu, rho), commutator(gen("x", mu, nu), p(rho)), -(
             p(mu) * eta(nu, rho) * HALF_I
         )
 
 
-def _eq72(alg):
+def _eq72(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
     x, p = alg.x, alg.p
     for mu, nu, rho in itertools.product(range(n), repeat=3):
         sym = (p(mu) * eta(nu, rho) + p(nu) * eta(mu, rho)) * QUARTER_I
-        yield 1, (mu, nu, rho), commutator(build_generator(alg, "+", mu, nu), x(rho)), sym
-        yield 2, (mu, nu, rho), commutator(build_generator(alg, "-", mu, nu), x(rho)), sym
-        yield 3, (mu, nu, rho), commutator(build_generator(alg, "x", mu, nu), x(rho)), (
+        yield 1, (mu, nu, rho), commutator(gen("+", mu, nu), x(rho)), sym
+        yield 2, (mu, nu, rho), commutator(gen("-", mu, nu), x(rho)), sym
+        yield 3, (mu, nu, rho), commutator(gen("x", mu, nu), x(rho)), (
             x(nu) * eta(mu, rho) * HALF_I
         )
 
 
-def _eq73(alg):
+def _eq73(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
     x, p = alg.x, alg.p
@@ -229,60 +227,51 @@ def _eq73(alg):
         )
 
 
-def _eq74(alg):
+def _eq74(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
-
-    def bx(a, b):
-        return build_generator(alg, "x", a, b)
 
     for mu, nu, rho, lam in itertools.product(range(n), repeat=4):
         antis = (
-            (bx(mu, rho) - bx(rho, mu)) * eta(nu, lam)
-            + (bx(mu, lam) - bx(lam, mu)) * eta(nu, rho)
-            + (bx(nu, rho) - bx(rho, nu)) * eta(mu, lam)
-            + (bx(nu, lam) - bx(lam, nu)) * eta(mu, rho)
+            (gen("x", mu, rho) - gen("x", rho, mu)) * eta(nu, lam)
+            + (gen("x", mu, lam) - gen("x", lam, mu)) * eta(nu, rho)
+            + (gen("x", nu, rho) - gen("x", rho, nu)) * eta(mu, lam)
+            + (gen("x", nu, lam) - gen("x", lam, nu)) * eta(mu, rho)
         )
-        bp_mn = build_generator(alg, "+", mu, nu)
-        bp_rl = build_generator(alg, "+", rho, lam)
-        bm_mn = build_generator(alg, "-", mu, nu)
-        bm_rl = build_generator(alg, "-", rho, lam)
-        yield 1, (mu, nu, rho, lam), commutator(bp_mn, bp_rl), antis * EIGHTH_I
-        yield 2, (mu, nu, rho, lam), commutator(bm_mn, bm_rl), -(antis * EIGHTH_I)
-        yield 3, (mu, nu, rho, lam), commutator(bx(mu, nu), bx(rho, lam)), (
-            (bx(rho, lam) * eta(nu, mu) - bx(mu, nu) * eta(rho, lam)) * HALF_I
+        rhs = antis * EIGHTH_I
+        yield 1, (mu, nu, rho, lam), commutator(gen("+", mu, nu), gen("+", rho, lam)), rhs
+        yield 2, (mu, nu, rho, lam), commutator(gen("-", mu, nu), gen("-", rho, lam)), -rhs
+        yield 3, (mu, nu, rho, lam), commutator(gen("x", mu, nu), gen("x", rho, lam)), (
+            (gen("x", rho, lam) * eta(nu, mu) - gen("x", mu, nu) * eta(rho, lam)) * HALF_I
         )
 
 
-def _eq75(alg):
+def _eq75(alg, gen):
     n = alg.dim
     eta = alg.metric.eta
 
-    def g(kind, a, b):
-        return build_generator(alg, kind, a, b)
-
     for mu, nu, rho, lam in itertools.product(range(n), repeat=4):
         sym_cross = (
-            (g("x", mu, rho) + g("x", rho, mu)) * eta(nu, lam)
-            + (g("x", mu, lam) + g("x", lam, mu)) * eta(nu, rho)
-            + (g("x", nu, rho) + g("x", rho, nu)) * eta(mu, lam)
-            + (g("x", nu, lam) + g("x", lam, nu)) * eta(mu, rho)
+            (gen("x", mu, rho) + gen("x", rho, mu)) * eta(nu, lam)
+            + (gen("x", mu, lam) + gen("x", lam, mu)) * eta(nu, rho)
+            + (gen("x", nu, rho) + gen("x", rho, nu)) * eta(mu, lam)
+            + (gen("x", nu, lam) + gen("x", lam, nu)) * eta(mu, rho)
         )
-        yield 1, (mu, nu, rho, lam), commutator(g("+", mu, nu), g("-", rho, lam)), (
+        yield 1, (mu, nu, rho, lam), commutator(gen("+", mu, nu), gen("-", rho, lam)), (
             sym_cross * EIGHTH_I
         )
-        yield 2, (mu, nu, rho, lam), commutator(g("-", mu, nu), g("x", rho, lam)), (
-            (g("+", mu, rho) + g("-", rho, mu)) * eta(lam, nu)
-            + (g("+", rho, nu) + g("-", nu, rho)) * eta(lam, mu)
-            + (g("+", mu, lam) - g("-", lam, mu)) * eta(rho, nu)
-            + (g("+", lam, nu) - g("-", nu, lam)) * eta(rho, mu)
+        yield 2, (mu, nu, rho, lam), commutator(gen("-", mu, nu), gen("x", rho, lam)), (
+            (gen("+", mu, rho) + gen("-", rho, mu)) * eta(lam, nu)
+            + (gen("+", rho, nu) + gen("-", nu, rho)) * eta(lam, mu)
+            + (gen("+", mu, lam) - gen("-", lam, mu)) * eta(rho, nu)
+            + (gen("+", lam, nu) - gen("-", nu, lam)) * eta(rho, mu)
         ) * QUARTER_I
-        yield 3, (mu, nu, rho, lam), commutator(g("x", mu, nu), g("+", rho, lam)), -(
+        yield 3, (mu, nu, rho, lam), commutator(gen("x", mu, nu), gen("+", rho, lam)), -(
             (
-                (g("+", mu, rho) + g("-", rho, mu)) * eta(nu, lam)
-                + (g("+", mu, lam) + g("-", lam, mu)) * eta(nu, rho)
-                - (g("+", rho, nu) - g("-", nu, rho)) * eta(mu, lam)
-                - (g("+", nu, lam) - g("-", lam, nu)) * eta(mu, rho)
+                (gen("+", mu, rho) + gen("-", rho, mu)) * eta(nu, lam)
+                + (gen("+", mu, lam) + gen("-", lam, mu)) * eta(nu, rho)
+                - (gen("+", rho, nu) - gen("-", nu, rho)) * eta(mu, lam)
+                - (gen("+", nu, lam) - gen("-", lam, nu)) * eta(mu, rho)
             )
             * QUARTER_I
         )
@@ -355,25 +344,28 @@ class TableReport:
         }
 
 
-def correction_basis(alg: WeylAlgebra):
+def correction_basis(alg: WeylAlgebra, gen):
     """Labels and polynomials of x, p, the generators, then 1.
 
-    Every table left-hand side has homogeneous parity, so a degree <= 1 form
-    expands over x, p and 1 alone and a quadratic one over the generators and 1.
+    `gen(kind, mu, nu)` returns the quadratic generator.  Every table
+    left-hand side has homogeneous parity, so a degree <= 1 form expands over
+    x, p and 1 alone and a quadratic one over the generators and 1.
     """
     n = alg.dim
-    gen_labels, gens = generator_basis(alg)
+    gen_labels = generator_labels(n)
     labels = [f"x{mu}" for mu in range(n)] + [f"p{mu}" for mu in range(n)]
     labels += [label_text(l) for l in gen_labels] + ["1"]
     polys = [alg.x(mu) for mu in range(n)] + [alg.p(mu) for mu in range(n)]
-    return labels, polys + gens + [alg.one()]
+    return labels, polys + [gen(*l) for l in gen_labels] + [alg.one()]
 
 
 def verify_table(table: str, metric: Metric | None = None, sign: int | None = None) -> TableReport:
     """Check every printed line of a table over all index combinations.
 
     The owning convention sign is applied by default; passing `sign` overrides
-    it (used to record how a table behaves under the other convention).
+    it (used to record how a table behaves under the other convention).  Each
+    quadratic generator is built once per call and shared by every line; the
+    memo is local, so nothing is kept between calls.
     """
     if table not in _REGISTRY:
         raise KeyError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
@@ -387,14 +379,21 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     use_sign = default_sign if sign is None else sign
     alg = WeylAlgebra(metric, use_sign)
     report = TableReport(table, metric, use_sign)
+    memo = {}
+
+    def gen(kind, mu=0, nu=0):
+        if (kind, mu, nu) not in memo:
+            memo[kind, mu, nu] = build_generator(alg, kind, mu, nu)
+        return memo[kind, mu, nu]
+
     solver = None
-    for line, indices, lhs, rhs in builder(alg):
+    for line, indices, lhs, rhs in builder(alg, gen):
         report.checked += 1
         residual = lhs - rhs
         if residual.is_zero():
             continue
         if solver is None:
-            labels, polys = correction_basis(alg)
+            labels, polys = correction_basis(alg, gen)
             solver = ExactSpanSolver(polys)
         coeffs = solver.solve(lhs)
         expansion = None if coeffs is None else {

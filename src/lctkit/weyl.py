@@ -83,9 +83,7 @@ class WeylAlgebra:
         self.dim = metric.dim
         self.sign = sign
         # [p_mu, x_mu] = -i * sign * eta_mu, the c-number used in reordering
-        self._pc = tuple(
-            GaussianRational(0, Fraction(-sign * e)) for e in metric.diag()
-        )
+        self._pc = tuple(GaussianRational(0, -sign * e) for e in metric.diag())
         self._zero_exp = (0,) * self.dim
 
     # -- identity of the convention ------------------------------------
@@ -304,7 +302,7 @@ def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2):
         opts = []
         power = ONE
         for j in range(jmax + 1):
-            opts.append((j, GaussianRational(comb(k, j) * comb(l, j) * factorial(j)) * power))
+            opts.append((j, power * (comb(k, j) * comb(l, j) * factorial(j))))
             power = power * c_num
         options.append(tuple(opts))
     base = c1 * c2
@@ -460,20 +458,16 @@ def _subtract(acc: dict, row: dict, c: GaussianRational):
             acc[key] = w
 
 
+def generator_labels(n: int) -> list:
+    """Ordered basis labels (kind, mu, nu): b+ (mu<=nu), b- (mu<=nu), bx (all)."""
+    labels = [(kind, mu, nu) for kind in ("+", "-") for mu in range(n) for nu in range(mu, n)]
+    return labels + [("x", mu, nu) for mu in range(n) for nu in range(n)]
+
+
 def generator_basis(alg: WeylAlgebra):
-    """Ordered basis labels and polynomials: b+ (mu<=nu), b- (mu<=nu), bx (all)."""
-    labels, polys = [], []
-    n = alg.dim
-    for kind in ("+", "-"):
-        for mu in range(n):
-            for nu in range(mu, n):
-                labels.append((kind, mu, nu))
-                polys.append(build_generator(alg, kind, mu, nu))
-    for mu in range(n):
-        for nu in range(n):
-            labels.append(("x", mu, nu))
-            polys.append(build_generator(alg, "x", mu, nu))
-    return labels, polys
+    """Ordered basis labels and polynomials, see `generator_labels`."""
+    labels = generator_labels(alg.dim)
+    return labels, [build_generator(alg, *label) for label in labels]
 
 
 def label_text(label) -> str:

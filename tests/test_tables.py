@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from lctkit import tables, weyl
 from lctkit.scalars import GaussianRational
 from lctkit.tables import (
     ONE_DIMENSIONAL_TABLES,
@@ -152,3 +153,24 @@ def test_report_json_schema():
 def test_unknown_table_rejected():
     with pytest.raises(KeyError):
         verify_table("Eq99")
+
+
+def test_generators_are_built_once_per_call_and_not_kept_between_calls(monkeypatch):
+    # Eq75 at N=4 names 3 kinds x 4 x 4 indices = 48 distinct generators over
+    # 768 lines, and its failing line builds the correction basis too
+    calls = []
+    original = weyl.build_generator
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "build_generator", counted)
+    monkeypatch.setattr(tables, "build_generator", counted)
+    first = verify_table("Eq75", metric=Metric(4, 0))
+    n_first = len(calls)
+    assert 0 < n_first <= 48
+    assert len(set(calls)) == n_first
+    second = verify_table("Eq75", metric=Metric(4, 0))
+    assert len(calls) == 2 * n_first
+    assert second.to_json() == first.to_json()

@@ -289,7 +289,7 @@ class _DenseSpanSolver:
 @functools.lru_cache(maxsize=None)
 def _correction_solvers(n_plus, n_minus, sign):
     alg = WeylAlgebra(Metric(n_plus, n_minus), sign)
-    _, polys = correction_basis(alg)
+    _, polys = correction_basis(alg, functools.partial(build_generator, alg))
     return alg, polys, ExactSpanSolver(polys), _DenseSpanSolver(polys)
 
 
@@ -343,7 +343,7 @@ def test_target_outside_the_basis_is_none_in_both(case, extra):
 @pytest.mark.parametrize("extra", ["repeat", "combination", "zero"])
 def test_dependent_basis_raises_span_failure(extra):
     alg = WeylAlgebra(Metric(2, 0), -1)
-    _, polys = correction_basis(alg)
+    _, polys = correction_basis(alg, functools.partial(build_generator, alg))
     polys = polys + [{
         "repeat": polys[3],
         "combination": polys[0] * Fraction(1, 3) - polys[-2] * I,
