@@ -166,6 +166,8 @@ def basis(ctx, level, grid, x0, p0, b):
 
 
 _SPEC_FIELDS = ("X", "P", "B", "cutoff", "theta_plus", "theta_minus", "theta_cross")
+# the unitary is held as a dense cutoff x cutoff complex matrix (64 MiB at 2048)
+_MAX_CUTOFF = 2048
 
 
 @main.command()
@@ -200,6 +202,8 @@ def transform(ctx, input_path, spec_path):
         raise click.UsageError(f"bad transform spec: {exc}")
     if cutoff < 16:
         raise click.UsageError("transform spec needs cutoff >= 16")
+    if cutoff > _MAX_CUTOFF:
+        raise click.UsageError(f"transform spec cutoff must be <= {_MAX_CUTOFF}")
     try:
         before = hermite.dispersion_estimate(wf)
         expansion = hermite.project(wf, params, cutoff)
@@ -325,6 +329,8 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     theta = _parse_angles(angles)
     _require_finite(tol, "tol")
     homomorphism, basis_law = homomorphism or run_all, basis_law or run_all
+    if (homomorphism or basis_law) and cutoff > _MAX_CUTOFF:
+        raise click.UsageError(f"cutoff must be <= {_MAX_CUTOFF}")
     started = time.perf_counter()
     checks = []
     try:

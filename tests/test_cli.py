@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import lctkit
-from lctkit import fock
+from lctkit import fock, hermite, metaplectic
 from lctkit.cli import main
 
 
@@ -332,6 +332,36 @@ def test_rep_cutoff_above_limit_is_refused_before_building(runner, monkeypatch, 
 
 _VALID_SPEC = {"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 32,
                "theta_plus": 0.1, "theta_minus": 0.0, "theta_cross": 0.0}
+
+
+class _Built(Exception):
+    """Raised by a patched builder: the command got past its cutoff check."""
+
+
+@pytest.mark.parametrize("command", ["homomorphism", "basis-law", "transform"])
+@pytest.mark.parametrize("cutoff", [2048, 2049, 100000])
+def test_numeric_cutoff_above_limit_is_refused_before_building(
+    runner, monkeypatch, tmp_path, command, cutoff
+):
+    def builder(*args):
+        raise _Built
+
+    monkeypatch.setattr(metaplectic, "build_unitary", builder)
+    monkeypatch.setattr(hermite, "project", builder)
+    if command == "transform":
+        wf_path = str(tmp_path / "wf.csv")
+        _write_ground_state(runner, wf_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(_VALID_SPEC, cutoff=cutoff)))
+        args = ["transform", "--input", wf_path, "--spec", str(spec)]
+    else:
+        args = ["verify", f"--{command}", "--cutoff", str(cutoff)]
+    result = runner.invoke(main, args)
+    if cutoff <= 2048:
+        assert isinstance(result.exception, _Built), result.output
+    else:
+        assert result.exit_code == 2, result.output
+        assert "cutoff must be <= 2048" in result.output
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
