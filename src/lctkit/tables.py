@@ -11,6 +11,7 @@ convention automatically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -192,6 +193,7 @@ def _eq73(alg, gen):
     eta = alg.metric.eta
     x, p = alg.x, alg.p
 
+    @functools.cache  # one build per word and table pass, like `gen`
     def w(kind_a, a, kind_b, b):
         first = x(a) if kind_a == "x" else p(a)
         second = x(b) if kind_b == "x" else p(b)

@@ -174,3 +174,25 @@ def test_generators_are_built_once_per_call_and_not_kept_between_calls(monkeypat
     second = verify_table("Eq75", metric=Metric(4, 0))
     assert len(calls) == 2 * n_first
     assert second.to_json() == first.to_json()
+
+
+def test_eq73_builds_each_quadratic_word_once_per_call(monkeypatch):
+    # Eq73 at N=4 names 4 word shapes x 4 x 4 indices = 64 distinct quadratic
+    # words over 2048 lines; each word costs two x/p calls, the correction
+    # basis 8 and its 36 generators 4 each, 280 in all (a rebuild per line
+    # made 17560)
+    calls = []
+    for name in ("x", "p"):
+        original = getattr(WeylAlgebra, name)
+
+        def counted(self, mu=0, _original=original):
+            calls.append(mu)
+            return _original(self, mu)
+
+        monkeypatch.setattr(WeylAlgebra, name, counted)
+    first = verify_table("Eq73", metric=Metric(4, 0))
+    n_first = len(calls)
+    assert n_first <= 2 * 64 + 8 + 4 * 36
+    second = verify_table("Eq73", metric=Metric(4, 0))
+    assert len(calls) == 2 * n_first
+    assert second.to_json() == first.to_json()
