@@ -283,16 +283,16 @@ def _numeric_check(name: str, rep: dict, checked: int, failed: list, **extra) ->
     }
 
 
-def _homomorphism_check(angles, cutoff, tol) -> dict:
-    rep = metaplectic.verify_homomorphism(angles, 1.0, cutoff, tol)
+def _homomorphism_check(u, tol) -> dict:
+    rep = metaplectic.verify_homomorphism(u, tol)
     failed = [] if rep["passed"] else [
         {"indices": [], "residual": _fmt(rep["max_residual"]), "corrected_rhs": {}}
     ]
     return _numeric_check("homomorphism", rep, 2, failed, matrix=rep["matrix"])
 
 
-def _basis_law_check(angles, cutoff, tol) -> dict:
-    rep = metaplectic.verify_basis_transformation(angles, 1.0, cutoff, tol)
+def _basis_law_check(u, tol) -> dict:
+    rep = metaplectic.verify_basis_transformation(u, tol)
     failed = [
         {
             "indices": [kind],
@@ -331,6 +331,8 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     homomorphism, basis_law = homomorphism or run_all, basis_law or run_all
     if (homomorphism or basis_law) and cutoff > _MAX_CUTOFF:
         raise click.UsageError(f"cutoff must be <= {_MAX_CUTOFF}")
+    if (homomorphism or basis_law) and cutoff < metaplectic.CHECK_MIN_CUTOFF:
+        raise click.UsageError(f"cutoff must be >= {metaplectic.CHECK_MIN_CUTOFF}")
     started = time.perf_counter()
     checks = []
     try:
@@ -343,10 +345,11 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
             checks.append(_table_check(name, metric))
         if run_all:
             checks.append(_closure_check(metric))
+        u = metaplectic.build_unitary(theta, 1.0, cutoff) if homomorphism or basis_law else None
         if homomorphism:
-            checks.append(_homomorphism_check(theta, cutoff, tol))
+            checks.append(_homomorphism_check(u, tol))
         if basis_law:
-            checks.append(_basis_law_check(theta, cutoff, tol))
+            checks.append(_basis_law_check(u, tol))
     except (fock.CutoffTooSmall, ValueError) as exc:
         raise click.UsageError(str(exc))
     if not checks:

@@ -17,8 +17,9 @@ real eigendecomposition of half the cutoff.
 
 Truncation contaminates the top of the tower, so all residuals are measured
 on the leading cutoff/4 block, which stays clean for |angles| <= 1.  They are
-formed on that block directly, as U[:b, :] A U[:b, :]+, never as a full
-conjugation that is then sliced.
+formed on that block directly, as U[:b, :] A U[:b, :]+ with A summed from its
+bands ({offset: diagonal}, see `fock`); only the b x b reference is dense.
+Both checks take a built `UnitaryLCT`, so one U serves both.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import CutoffTooSmall, TruncatedOperator, dispersion_matrices, ladder_matrices
+from .fock import CutoffTooSmall, TruncatedOperator, _dense, dispersion_bands, ladder_bands
 from .symplectic import DimensionMismatch, ThetaAngles, exp_sp, from_angles
 from .weyl import EUCLIDEAN_1D, WeylAlgebra, printed_transform_rows, transform_generators
 
 UNITARITY_TOL = 1e-12
+# smallest cutoff whose leading cutoff/4 block the residual checks judge
+CHECK_MIN_CUTOFF = 32
 RATIONALIZE_DENOMINATOR = 10 ** 6
 
 
@@ -63,19 +66,18 @@ class UnitaryLCT:
             raise ValueError(f"operator is not unitary: defect {defect:.3e}")
 
 
-def generator_matrices(B: float, cutoff: int):
-    """Quarter-normalised generator triple (b+, b-, bx) as matrices."""
-    jp, jm, jx = dispersion_matrices(B, cutoff)
+def generator_bands(B: float, cutoff: int):
+    """Quarter-normalised generator triple (b+, b-, bx) as {offset: diagonal}."""
     scale = 1.0 / (4.0 * B)
-    return jp.matrix * scale, jm.matrix * scale, jx.matrix * scale
+    return tuple({k: d * scale for k, d in j.items()} for j in dispersion_bands(B, cutoff))
 
 
-def reduced_quadratures(cutoff: int):
-    """Matrices of the reduced momentum and coordinate, p_hat and x_hat."""
-    zm, zp = ladder_matrices(cutoff)
-    p_hat = (zm.matrix + zp.matrix) / np.sqrt(2.0)
-    x_hat = 1j * (zm.matrix - zp.matrix) / np.sqrt(2.0)
-    return p_hat, x_hat
+def quadrature_bands(cutoff: int):
+    """Reduced momentum and coordinate, p_hat and x_hat, as {offset: diagonal}."""
+    lower = ladder_bands(cutoff)[1]
+    p_band = lower / np.sqrt(2.0)
+    x_hat = {-1: 1j * -lower.conj() / np.sqrt(2.0), 1: 1j * lower / np.sqrt(2.0)}
+    return {-1: p_band, 1: p_band}, x_hat
 
 
 def _group_rows(s) -> list:
@@ -98,9 +100,9 @@ def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
     if cutoff < 16:
         raise CutoffTooSmall("unitary construction needs cutoff >= 16")
     tp, tm, tx = angles.triple()
-    bp, bm, bx = generator_matrices(B, cutoff)
-    diagonal = tp * bp.diagonal().real
-    band = np.abs(tm * bm.diagonal(2) + tx * bx.diagonal(2))
+    bp, bm, bx = generator_bands(B, cutoff)
+    diagonal = tp * bp[0].real
+    band = np.abs(tm * bm[2] + tx * bx[2])
     phase = np.angle(complex(tm, tx))
     u = np.zeros((cutoff, cutoff), dtype=complex)
     for parity in (0, 1):
@@ -124,19 +126,17 @@ def conjugate(u: UnitaryLCT, op: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(u.cutoff, m, f"conj({op.label})")
 
 
-def _leading_conjugate(u: UnitaryLCT, a: np.ndarray, size: int) -> np.ndarray:
+def _leading_conjugate(u: UnitaryLCT, bands: dict, size: int) -> np.ndarray:
     """The leading size x size block of U A U+, from the leading rows of U only.
 
-    The operators judged here are banded, so rows @ A is summed one nonzero
-    diagonal of A at a time instead of as a dense product.
+    A is given as {offset: diagonal}, so rows @ A is summed one diagonal at a
+    time, in increasing offset, instead of as a dense product.
     """
     rows = u.U.matrix[:size]
     n = rows.shape[1]
-    nz_rows, nz_cols = np.nonzero(a)
     rows_a = np.zeros_like(rows)
-    for k in sorted(set((nz_cols - nz_rows).tolist())):
+    for k, diagonal in sorted(bands.items()):
         # column j of rows @ A gains rows[:, j - k] * A[j - k, j]
-        diagonal = np.diagonal(a, k)
         if k >= 0:
             rows_a[:, k:] += rows[:, : n - k] * diagonal
         else:
@@ -144,30 +144,32 @@ def _leading_conjugate(u: UnitaryLCT, a: np.ndarray, size: int) -> np.ndarray:
     return rows_a @ rows.conj().T
 
 
-def verify_homomorphism(angles: ThetaAngles, B: float, cutoff: int, tol: float) -> dict:
+def _report_head(u: UnitaryLCT, check: str) -> dict:
+    """Leading keys of a residual report; refuses a cutoff too small to judge."""
+    if u.cutoff < CHECK_MIN_CUTOFF:
+        raise CutoffTooSmall(f"{check} check needs cutoff >= {CHECK_MIN_CUTOFF}")
+    return {"angles": u.angles.triple(), "B": u.B, "cutoff": u.cutoff, "block": u.cutoff // 4}
+
+
+def verify_homomorphism(u: UnitaryLCT, tol: float) -> dict:
     """Compare U p U+, U x U+ against the classical matrix action.
 
-    Both sides are computed independently: the quantum side by conjugation,
-    the classical side from the 2x2 matrix exponential.  Residuals are
-    taken on the leading cutoff/4 block.
+    Both sides are computed independently: the quantum side by conjugation
+    with the built U, the classical side from the 2x2 matrix exponential of
+    its angles.  Residuals are taken on the leading cutoff/4 block.
     """
-    if cutoff < 32:
-        raise CutoffTooSmall("homomorphism check needs cutoff >= 32")
-    u = build_unitary(angles, B, cutoff)
-    p_hat, x_hat = reduced_quadratures(cutoff)
-    (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(angles, EUCLIDEAN_1D)))
-    block = cutoff // 4
+    head = _report_head(u, "homomorphism")
+    block = head["block"]
+    p_hat, x_hat = quadrature_bands(u.cutoff)
+    (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(u.angles, EUCLIDEAN_1D)))
     lhs_p = _leading_conjugate(u, p_hat, block)
     lhs_x = _leading_conjugate(u, x_hat, block)
-    p_lead, x_lead = p_hat[:block, :block], x_hat[:block, :block]
+    p_lead, x_lead = _dense(p_hat, block), _dense(x_hat, block)
     res_p = float(np.max(np.abs(lhs_p - (pi * p_lead + th * x_lead))))
     res_x = float(np.max(np.abs(lhs_x - (xi * p_lead + la * x_lead))))
     max_res = max(res_p, res_x)
     return {
-        "angles": angles.triple(),
-        "B": B,
-        "cutoff": cutoff,
-        "block": block,
+        **head,
         "matrix": {"Pi": pi, "Xi": xi, "Theta": th, "Lambda": la},
         "residual_p": res_p,
         "residual_x": res_x,
@@ -208,39 +210,29 @@ def rationalize_symplectic(s) -> list:
     return [[rpi, rxi], [rth, rla]]
 
 
-def verify_basis_transformation(angles: ThetaAngles, B: float, cutoff: int, tol: float) -> dict:
+def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     """Check the generator transformation law against numerical conjugation.
 
     The engine-derived coefficient rows come from the exact symbolic
-    substitution at a rational approximant of the group matrix; the published
-    rows are evaluated alongside so their verdicts are recorded.  Residuals
-    are measured on the leading cutoff/4 block.
+    substitution at a rational approximant of the group matrix of U's angles;
+    the published rows are evaluated alongside so their verdicts are
+    recorded.  Residuals are measured on the leading cutoff/4 block.
     """
-    if cutoff < 32:
-        raise CutoffTooSmall("basis-law check needs cutoff >= 32")
-    u = build_unitary(angles, B, cutoff)
-    s = exp_sp(from_angles(angles, EUCLIDEAN_1D))
+    report = {**_report_head(u, "basis-law"), "tol": tol, "rows": {}}
+    block = report["block"]
+    s = exp_sp(from_angles(u.angles, EUCLIDEAN_1D))
     s_rat = rationalize_symplectic(s)
     alg = WeylAlgebra(EUCLIDEAN_1D, +1)
-    mats = dict(zip(("+", "-", "x"), generator_matrices(B, cutoff)))
-    block = cutoff // 4
-    bp_lead, bm_lead, bx_lead = (m[:block, :block] for m in mats.values())
+    gens = dict(zip(("+", "-", "x"), generator_bands(u.B, u.cutoff)))
+    bp_lead, bm_lead, bx_lead = (_dense(g, block) for g in gens.values())
     printed_rows = printed_transform_rows(_group_rows(s))
 
     def residual(numeric, c) -> float:
         return float(np.max(np.abs(numeric - (c[0] * bp_lead + c[1] * bm_lead + c[2] * bx_lead))))
 
-    report = {
-        "angles": angles.triple(),
-        "B": B,
-        "cutoff": cutoff,
-        "block": block,
-        "tol": tol,
-        "rows": {},
-    }
     worst = 0.0
     for kind in ("+", "-", "x"):
-        numeric = _leading_conjugate(u, mats[kind], block)
+        numeric = _leading_conjugate(u, gens[kind], block)
         coeffs = tuple(float(c) for c in transform_generators(alg, s_rat, kind).triple())
         res_engine, res_printed = residual(numeric, coeffs), residual(numeric, printed_rows[kind])
         worst = max(worst, res_engine)

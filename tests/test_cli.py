@@ -136,6 +136,32 @@ def test_verify_homomorphism_zero_angles(runner):
     assert payload["checks"][0]["report"]["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("args", [["--homomorphism", "--basis-law"], ["--all"]])
+def test_verify_builds_one_unitary_for_both_numerical_checks(runner, monkeypatch, args):
+    calls = []
+    original = metaplectic.build_unitary
+
+    def counting(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(metaplectic, "build_unitary", counting)
+    result = runner.invoke(main, ["verify", *args, "--angles", "0.3,-0.2,0.25", "--cutoff", "32"])
+    assert result.exit_code == 0, result.output
+    names = [c["name"] for c in json.loads(result.stdout)["checks"]]
+    assert "homomorphism" in names and "basis-law" in names
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cutoff", ["8", "20"])
+def test_verify_numerical_cutoff_below_check_block_is_usage_error(runner, cutoff):
+    result = runner.invoke(main, ["verify", "--homomorphism", "--basis-law", "--cutoff", cutoff])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "cutoff must be >= 32" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_verify_failure_exit_code(runner):
     result = runner.invoke(main, ["verify", "--homomorphism", "--angles", "0.5,0.5,-0.5",
                                   "--cutoff", "32", "--tol", "1e-12"])

@@ -6,11 +6,59 @@ import pytest
 from lctkit.fock import (
     CutoffTooSmall,
     TruncatedOperator,
+    dispersion_bands,
     dispersion_matrices,
+    ladder_bands,
     ladder_matrices,
     sigma_operators,
     truncated_commutator_check,
 )
+
+
+def loop_ladder_matrices(cutoff):
+    """The entry-by-entry construction the banded builders replaced."""
+    zm = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in range(1, cutoff):
+        zm[n - 1, n] = np.sqrt(n)
+    return zm, zm.conj().T
+
+
+def loop_dispersion_matrices(B, cutoff):
+    jp = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in range(cutoff - 1):
+        jp[n, n] = (2 * n + 1) * B
+    jp[cutoff - 1, cutoff - 1] = (cutoff - 1) * B
+    jm = np.zeros((cutoff, cutoff), dtype=complex)
+    jx = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in range(cutoff - 2):
+        amp = np.sqrt((n + 1) * (n + 2)) * B
+        jm[n, n + 2] = amp
+        jm[n + 2, n] = amp
+        jx[n, n + 2] = 1j * amp
+        jx[n + 2, n] = -1j * amp
+    return jp, jm, jx
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 16, 33])
+@pytest.mark.parametrize("B", [0.25, 1.0, 2.5])
+def test_dense_views_and_bands_match_loop_construction_bitwise(B, cutoff):
+    zm, zp = ladder_matrices(cutoff)
+    views = [zm, zp, *dispersion_matrices(B, cutoff)]
+    loops = [*loop_ladder_matrices(cutoff), *loop_dispersion_matrices(B, cutoff)]
+    for view, want in zip(views, loops):
+        assert_bitwise_equal(view.matrix, want)
+    bands = [ladder_bands(cutoff), *dispersion_bands(B, cutoff)]
+    for op, want in zip(bands, [loops[0], *loops[2:]]):
+        offsets = {k for k in range(1 - cutoff, cutoff) if np.any(np.diagonal(want, k))}
+        assert set(op) == offsets
+        for k, diagonal in op.items():
+            assert_bitwise_equal(diagonal, np.diagonal(want, k))
 
 
 def test_ladder_matrix_entries_cutoff_three():

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from lctkit.fock import CutoffTooSmall, dispersion_matrices
+from lctkit.fock import CutoffTooSmall, _dense, dispersion_matrices
 from lctkit.metaplectic import (
     NonPositiveDispersion,
     build_unitary,
     conjugate,
-    generator_matrices,
+    generator_bands,
     position_convention_unitary,
+    quadrature_bands,
     rationalize_symplectic,
-    reduced_quadratures,
     rescale_frame,
     verify_basis_transformation,
     verify_homomorphism,
@@ -27,6 +27,10 @@ ANGLE_SAMPLES = [
     (0.2, 0.4, 0.1),
     (0.1, -0.5, 0.2),
 ]
+
+
+def reduced_quadratures(cutoff):
+    return tuple(_dense(q, cutoff) for q in quadrature_bands(cutoff))
 
 
 def test_zero_angles_give_identity():
@@ -91,7 +95,7 @@ def test_conjugate_cutoff_mismatch():
 
 
 def test_homomorphism_zero_angles():
-    report = verify_homomorphism(ThetaAngles.one_dim(0, 0, 0), 1.0, 32, 1e-6)
+    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32), 1e-6)
     assert report["max_residual"] == 0.0
     assert report["passed"]
 
@@ -99,7 +103,7 @@ def test_homomorphism_zero_angles():
 def test_homomorphism_first_order_direction():
     # theta_plus only: U p U+ = cos(t/2) p - sin(t/2) x
     t = 0.2
-    report = verify_homomorphism(ThetaAngles.one_dim(t, 0, 0), 1.0, 64, 1e-6)
+    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(t, 0, 0), 1.0, 64), 1e-6)
     assert report["passed"]
     assert report["matrix"]["Pi"] == pytest.approx(np.cos(t / 2), abs=1e-12)
     assert report["matrix"]["Theta"] == pytest.approx(-np.sin(t / 2), abs=1e-12)
@@ -113,16 +117,16 @@ def test_homomorphism_first_order_direction():
 @pytest.mark.parametrize("angles", ANGLE_SAMPLES)
 def test_homomorphism_residual_small_and_decreasing(angles):
     theta = ThetaAngles.one_dim(*angles)
-    r64 = verify_homomorphism(theta, 1.0, 64, 1e-6)
-    r32 = verify_homomorphism(theta, 1.0, 32, 1e-6)
+    r64 = verify_homomorphism(build_unitary(theta, 1.0, 64), 1e-6)
+    r32 = verify_homomorphism(build_unitary(theta, 1.0, 32), 1e-6)
     assert r64["passed"]
     assert r64["max_residual"] < r32["max_residual"]
 
 
 def test_homomorphism_independent_of_scale():
     theta = ThetaAngles.one_dim(0.3, -0.2, 0.25)
-    r_small = verify_homomorphism(theta, 0.25, 64, 1e-6)
-    r_large = verify_homomorphism(theta, 4.0, 64, 1e-6)
+    r_small = verify_homomorphism(build_unitary(theta, 0.25, 64), 1e-6)
+    r_large = verify_homomorphism(build_unitary(theta, 4.0, 64), 1e-6)
     assert r_small["passed"] and r_large["passed"]
     assert abs(r_small["max_residual"] - r_large["max_residual"]) < 1e-12
 
@@ -190,7 +194,7 @@ def test_rationalized_matrix_is_exactly_unimodular():
 
 
 def test_basis_transformation_identity():
-    report = verify_basis_transformation(ThetaAngles.one_dim(0, 0, 0), 1.0, 64, 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 64), 1e-6)
     assert report["passed"]
     assert report["rows"]["+"]["engine_coefficients"] == (1.0, 0.0, 0.0)
     assert report["rows"]["-"]["engine_coefficients"] == (0.0, 1.0, 0.0)
@@ -198,7 +202,7 @@ def test_basis_transformation_identity():
 
 
 def test_basis_transformation_rotation_invariance():
-    report = verify_basis_transformation(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64, 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64), 1e-6)
     assert report["passed"]
     plus = report["rows"]["+"]
     assert abs(plus["engine_coefficients"][0] - 1.0) < 1e-9
@@ -209,14 +213,14 @@ def test_basis_transformation_rotation_invariance():
 
 @pytest.mark.parametrize("angles", ANGLE_SAMPLES)
 def test_basis_transformation_engine_rows_match_numerics(angles):
-    report = verify_basis_transformation(ThetaAngles.one_dim(*angles), 1.0, 64, 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(*angles), 1.0, 64), 1e-6)
     assert report["passed"], report
     # the published third row is the one that survives the engine check
     assert report["rows"]["x"]["printed_row_holds"]
 
 
 def test_basis_transformation_printed_first_rows_fail_off_identity():
-    report = verify_basis_transformation(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64, 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64), 1e-6)
     assert not report["rows"]["+"]["printed_row_holds"]
     assert not report["rows"]["-"]["printed_row_holds"]
 
@@ -248,10 +252,12 @@ def test_rescale_frame():
 
 
 def test_generator_matrices_scale_free():
-    a = generator_matrices(0.5, 24)
-    b = generator_matrices(2.0, 24)
+    a = generator_bands(0.5, 24)
+    b = generator_bands(2.0, 24)
     for x, y in zip(a, b):
-        assert np.max(np.abs(x - y)) < 1e-15
+        assert x.keys() == y.keys()
+        for k in x:
+            assert np.max(np.abs(x[k] - y[k])) < 1e-15
 
 
 def test_guards():
@@ -260,7 +266,7 @@ def test_guards():
     with pytest.raises(NonPositiveDispersion):
         build_unitary(ThetaAngles.one_dim(0, 0, 0), 0.0, 32)
     with pytest.raises(CutoffTooSmall):
-        verify_homomorphism(ThetaAngles.one_dim(0, 0, 0), 1.0, 16, 1e-6)
+        verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 16), 1e-6)
     with pytest.raises(DimensionMismatch):
         build_unitary(
             ThetaAngles(2, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))), 1.0, 32
