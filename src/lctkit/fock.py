@@ -54,7 +54,7 @@ def _dense(bands: dict, size: int) -> np.ndarray:
     """The leading size x size corner of a banded operator as a dense matrix."""
     m = np.zeros((size, size), dtype=complex)
     for k, diagonal in bands.items():
-        idx = np.arange(max(size - abs(k), 0))
+        idx = np.arange(size - abs(k))
         m[idx + max(-k, 0), idx + max(k, 0)] = diagonal[: idx.size]
     return m
 
