@@ -168,6 +168,8 @@ class WeylPolynomial:
     def __add__(self, other):
         other = self._lift(other)
         self._require_compatible(other)
+        if not other.terms or not self.terms:
+            return self if self.terms else other
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, ZERO) + c
@@ -187,6 +189,8 @@ class WeylPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
+            if c.is_zero():
+                return self.algebra.zero()
             return WeylPolynomial(self.algebra, {m: v * c for m, v in self.terms.items()})
         self._require_compatible(other)
         acc: dict = {}
@@ -201,6 +205,8 @@ class WeylPolynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("the Weyl algebra has no inverses; exponent must be >= 0")
         out = self.algebra.one()
         for _ in range(n):
             out = out * self
@@ -278,18 +284,21 @@ class WeylPolynomial:
         return f"WeylPolynomial({self.text()})"
 
 
-def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2):
-    """Accumulate the normal-ordered product of two canonical monomials."""
+def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2, contracted_only=False):
+    """Accumulate the normal-ordered product of two canonical monomials.
+
+    contracted_only drops the term without contractions (Wick's theorem)."""
     b2 = m1[0] + m2[0]
     xs1, ps1 = m1[1], m1[2]
     xs2, ps2 = m2[1], m2[2]
     if not any(ps1[mu] and xs2[mu] for mu in range(alg.dim)):
         # nothing to reorder
+        if contracted_only:
+            return
         xs = tuple(a + b for a, b in zip(xs1, xs2))
         ps = tuple(a + b for a, b in zip(ps1, ps2))
         key = (b2, xs, ps)
-        val = c1 * c2
-        acc[key] = acc.get(key, ZERO) + val
+        acc[key] = acc.get(key, ZERO) + c1 * c2
         return
     options = []
     for mu in range(alg.dim):
@@ -306,7 +315,8 @@ def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2):
             power = power * c_num
         options.append(tuple(opts))
     base = c1 * c2
-    for combo in itertools.product(*options):
+    # the first combination is the one without contractions
+    for combo in itertools.islice(itertools.product(*options), int(contracted_only), None):
         coeff = base
         for _, w in combo:
             coeff = coeff * w
@@ -320,9 +330,16 @@ def _mul_monomials(alg: WeylAlgebra, acc: dict, m1, c1, m2, c2):
 
 
 def commutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
-    """[a, b] = ab - ba, exact and normal-ordered."""
+    """[a, b] = ab - ba, exact and normal-ordered, from contracted terms only:
+    m1*m2 and m2*m1 share their uncontracted term, so it cancels unformed."""
     a._require_compatible(b)
-    return a * b - b * a
+    alg, acc = a.algebra, {}
+    for m1, c1 in a.terms.items():
+        neg = -c1
+        for m2, c2 in b.terms.items():
+            _mul_monomials(alg, acc, m1, c1, m2, c2, contracted_only=True)
+            _mul_monomials(alg, acc, m2, c2, m1, neg, contracted_only=True)
+    return WeylPolynomial(alg, acc)
 
 
 @dataclass
@@ -445,7 +462,7 @@ class ExactSpanSolver:
         left, combo = self._reduce(target.terms, {})
         if left:
             return None
-        return [-combo.get(k, ZERO) for k in range(len(self.basis))]
+        return [-combo[k] if k in combo else ZERO for k in range(len(self.basis))]
 
 
 def _subtract(acc: dict, row: dict, c: GaussianRational):
@@ -507,16 +524,19 @@ class StructureConstants:
     def jacobi_violations(self):
         """Exact Jacobi check over all basis triples i < j < k."""
         d = self.dimension
+        # bracket() for both orders of every pair, built once for this call
+        lookup = {(j, i): {k: -v for k, v in row.items()} for (i, j), row in self.table.items()}
+        lookup.update(self.table)
         bad = []
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
                     acc: dict = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(a, b)
-                        for m, cm in inner.items():
-                            outer = self.bracket(m, c)
-                            for l, cl in outer.items():
+                        for m, cm in lookup[(a, b)].items():
+                            if m == c:
+                                continue
+                            for l, cl in lookup[(m, c)].items():
                                 acc[l] = acc.get(l, ZERO) + cm * cl
                     if any(not v.is_zero() for v in acc.values()):
                         bad.append((i, j, k))

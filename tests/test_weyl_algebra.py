@@ -1,6 +1,7 @@
 """Exact operator algebra: ordering, commutators, generators, transforms."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -354,6 +355,74 @@ def test_dependent_basis_raises_span_failure(extra):
             solver(polys)
 
 
+# -- commutator against the full products, zero fast paths --------------------
+
+
+@st.composite
+def _poly_pair(draw):
+    """Two random polynomials of degree <= 3 in one algebra, N = 1..4.
+
+    Terms are words of up to three factors times B^(h/2) and a coefficient
+    that may carry sqrt2 parts or be zero.
+    """
+    n = draw(st.integers(1, 4))
+    n_minus = draw(st.integers(0, n))
+    alg = WeylAlgebra(Metric(n - n_minus, n_minus), draw(st.sampled_from([+1, -1])))
+    factor = st.tuples(st.sampled_from(["x", "p"]), st.integers(0, n - 1))
+
+    def poly():
+        out = alg.zero()
+        for _ in range(draw(st.integers(0, 4))):
+            word = alg.word(*draw(st.lists(factor, max_size=3)))
+            out = out + word * alg.dispersion_scale(draw(st.integers(0, 3))) * draw(_coefficient)
+        return out
+
+    return poly(), poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pair())
+def test_commutator_equals_difference_of_full_products(pair):
+    a, b = pair
+    assert commutator(a, b) == a * b - b * a
+    assert commutator(b, a) == b * a - a * b
+
+
+def test_zero_fast_paths_keep_their_results():
+    poly = ALG.word("p", "x") * GaussianRational(0, 0, 1) + ALG.dispersion_scale(1) * ALG.x()
+    for zero in (0, Fraction(0), ZERO):
+        assert (poly * zero).is_zero()
+        assert (poly * zero).algebra is ALG
+    assert (0 * poly).is_zero()
+    for same in (poly + ALG.zero(), ALG.zero() + poly, poly + 0, 0 + poly, poly - ALG.zero()):
+        assert same == poly
+    assert (ALG.zero() + ALG.zero()).is_zero()
+
+
+def test_zero_from_another_convention_is_still_rejected():
+    for other in (WeylAlgebra(EUCLIDEAN_1D, -1), WeylAlgebra(Metric(2, 0), +1)):
+        for poly in (ALG.x(), ALG.zero(), ALG.x() * 0):
+            for op in (
+                lambda u, v: u + v,
+                lambda u, v: u - v,
+                lambda u, v: u * v,
+                commutator,
+            ):
+                with pytest.raises(ConventionMismatch):
+                    op(poly, other.zero())
+                with pytest.raises(ConventionMismatch):
+                    op(other.zero(), poly)
+
+
+def test_power_with_negative_exponent_is_refused():
+    x = WeylAlgebra().x()
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="no inverses"):
+            x ** n
+    assert x ** 0 == WeylAlgebra().one()
+    assert x ** 3 == x * x * x
+
+
 # -- closure and structure constants -----------------------------------------
 
 
@@ -384,6 +453,55 @@ def test_jacobi_exact_small_dims():
     for n in (1, 2):
         assert not closure_and_constants(Metric(n, 0)).jacobi_violations()
     assert not closure_and_constants(Metric(1, 1)).jacobi_violations()
+
+
+def _jacobi_reference(sc):
+    """Jacobi violations read through `bracket`, one lookup at a time."""
+    d = sc.dimension
+    bad = []
+    for i, j, k in itertools.combinations(range(d), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in sc.bracket(a, b).items():
+                for l, cl in sc.bracket(m, c).items():
+                    acc[l] = acc.get(l, ZERO) + cm * cl
+        if any(not v.is_zero() for v in acc.values()):
+            bad.append((i, j, k))
+    return bad
+
+
+def _nonzero_pairs(sc):
+    return [pair for pair, row in sorted(sc.table.items()) if row]
+
+
+@pytest.mark.parametrize("which", [0, 7, -1])
+def test_jacobi_reports_a_perturbed_structure_constant(which):
+    sc = closure_and_constants(Metric(2, 0))
+    assert not sc.jacobi_violations()
+    pair = _nonzero_pairs(sc)[which]
+    row = dict(sc.table[pair])
+    k = next(iter(row))
+    row[k] = row[k] + GaussianRational(Fraction(1, 3))
+    sc.table[pair] = row
+    bad = sc.jacobi_violations()
+    assert bad
+    assert bad == _jacobi_reference(sc)
+    assert all(set(pair) & set(triple) for triple in bad)
+
+
+def test_antisymmetry_reports_a_planted_asymmetric_entry():
+    sc = closure_and_constants(Metric(2, 0))
+    i, j = _nonzero_pairs(sc)[3]
+    # store the mirror explicitly, with one constant not negated
+    mirror = {k: -v for k, v in sc.table[(i, j)].items()}
+    k = next(iter(mirror))
+    mirror[k] = -mirror[k]
+    sc.table[(j, i)] = mirror
+    assert {(a, b) for a, b, _ in sc.antisymmetry_violations()} == {(i, j), (j, i)}
+    assert (i, j, k) in sc.antisymmetry_violations()
+    # Jacobi reads the stored mirror as bracket(j, i) does
+    assert sc.jacobi_violations() == _jacobi_reference(sc)
+    assert sc.jacobi_violations()
 
 
 # -- symplectic substitution --------------------------------------------------
