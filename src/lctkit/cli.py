@@ -42,17 +42,13 @@ def _emit_json(ctx, payload) -> None:
 
 
 def _wavefunction_csv(grid, values) -> str:
-    lines = ["x,re,im"]
-    for x, v in zip(grid, values):
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
+    return "\n".join(["x,re,im", *(f"{x!r},{r!r},{i!r}" for x, r, i in rows)]) + "\n"
 
 
 def _rows_payload(grid, values) -> dict:
-    return {
-        "columns": ["x", "re", "im"],
-        "rows": [[float(x), float(v.real), float(v.imag)] for x, v in zip(grid, values)],
-    }
+    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
+    return {"columns": ["x", "re", "im"], "rows": [list(r) for r in rows]}
 
 
 def _read_text(path: str) -> str:
@@ -166,7 +162,8 @@ def basis(ctx, level, grid, x0, p0, b):
 
 
 _SPEC_FIELDS = ("X", "P", "B", "cutoff", "theta_plus", "theta_minus", "theta_cross")
-# the unitary is held as a dense cutoff x cutoff complex matrix (64 MiB at 2048)
+# transform forms the dense cutoff x cutoff complex unitary (64 MiB at 2048);
+# verify holds only its parity factors and leading rows
 _MAX_CUTOFF = 2048
 
 

@@ -12,20 +12,23 @@ The generators are quadratic in the ladder operators, so they couple level n
 only to n +- 2 and U is block diagonal over even and odd levels.  Within one
 parity block the generator is Hermitian tridiagonal and its off-diagonal
 carries the single phase phi = arg(t- + i tx); with D = diag(exp(-i k phi))
-the block is D T D+ for a real symmetric tridiagonal T, so each block costs one
-real eigendecomposition of half the cutoff.
+the block is D T D+ for a real symmetric tridiagonal T = V L V^T, so each block
+costs one real eigendecomposition of half the cutoff.  `UnitaryLCT` keeps those
+factors; only its dense view `U` (`conjugate`, `transform`) forms U itself.
 
 Truncation contaminates the top of the tower, so all residuals are measured
 on the leading cutoff/4 block, which stays clean for |angles| <= 1.  They are
-formed on that block directly, as U[:b, :] A U[:b, :]+ with A summed from its
-bands ({offset: diagonal}, see `fock`); only the b x b reference is dense.
-Both checks take a built `UnitaryLCT`, so one U serves both.
+formed on that block from the leading rows of each parity block, as
+U[:b, :] A U[:b, :]+ with A summed from its bands ({offset: diagonal}, see
+`fock`) one parity pair at a time; only the b x b reference is dense.  Both
+checks take a built `UnitaryLCT`, so one set of leading rows serves both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,25 +48,47 @@ class NonPositiveDispersion(ValueError):
 
 @dataclass(frozen=True)
 class UnitaryLCT:
-    """Truncated unitary representative of a linear canonical transformation."""
+    """Truncated unitary as parity factors: each block is D V e^{iL} V^T D+."""
 
     angles: ThetaAngles
     B: float
     cutoff: int
-    U: TruncatedOperator
+    phase: float
+    blocks: tuple
 
     def __post_init__(self):
-        # a metaplectic unitary commutes with parity; with the off-parity
-        # entries exactly zero, U+U - I vanishes off the parity blocks too
-        u = self.U.matrix
-        if np.any(u[0::2, 1::2]) or np.any(u[1::2, 0::2]):
+        # E = V^T V - I bounds max|U+U - I| <= (2 + ||E||_2) ||E||_2 <= (2 + f) f
+        sizes = ((self.cutoff + 1) // 2, self.cutoff // 2)
+        if [(w.shape, v.shape) for w, v in self.blocks] != [((n,), (n, n)) for n in sizes]:
             raise ValueError("operator mixes even and odd levels")
-        defect = max(
-            np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0])))
-            for block in (u[0::2, 0::2], u[1::2, 1::2])
-        )
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"operator is not unitary: defect {defect:.3e}")
+        for evals, vecs in self.blocks:
+            if np.iscomplexobj(vecs) or not np.all(np.isfinite(np.append(evals, self.phase))):
+                raise ValueError("operator is not unitary: factors not real and finite")
+            f = float(np.linalg.norm(vecs.T @ vecs - np.eye(len(evals))))
+            if not (2.0 + f) * f <= UNITARITY_TOL:
+                raise ValueError(f"operator is not unitary: defect bound {(2.0 + f) * f:.3e}")
+
+    def leading_rows(self, m: int) -> tuple:
+        """U[p:m:2, p::2] for parity p = 0, 1: the first m rows of U, block by block."""
+        rows = []
+        for parity, (evals, vecs) in enumerate(self.blocks):
+            rot = np.exp(-1j * self.phase * np.arange(len(evals)))
+            lead = vecs[: (m + 1 - parity) // 2]
+            block = (lead * np.cos(evals)) @ vecs.T + 1j * ((lead * np.sin(evals)) @ vecs.T)
+            rows.append((rot[: len(lead), None] * block) * rot.conj()[None, :])
+        return tuple(rows)
+
+    @cached_property
+    def check_rows(self) -> tuple:
+        return self.leading_rows(self.cutoff // 4)  # the block the residual checks judge
+
+    @property
+    def U(self) -> TruncatedOperator:
+        """Dense view, the only place the cutoff x cutoff matrix is formed."""
+        u = np.zeros((self.cutoff, self.cutoff), dtype=complex)
+        for parity, block in enumerate(self.leading_rows(self.cutoff)):
+            u[parity::2, parity::2] = block
+        return TruncatedOperator(self.cutoff, u, "unitary_lct")
 
 
 def generator_bands(B: float, cutoff: int):
@@ -87,12 +112,7 @@ def _group_rows(s) -> list:
 
 
 def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
-    """Exponentiate the Hermitian angle combination one parity block at a time.
-
-    Each block G_p = D T D+ (see the module docstring) exponentiates to
-    D (V cos(L) V^T + i V sin(L) V^T) D+ from the real eigendecomposition
-    T = V L V^T.
-    """
+    """Factor the Hermitian angle combination one parity block at a time."""
     if angles.dim != 1:
         raise DimensionMismatch("the truncated representation is one-dimensional")
     if not B > 0:
@@ -103,17 +123,11 @@ def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
     bp, bm, bx = generator_bands(B, cutoff)
     diagonal = tp * bp[0].real
     band = np.abs(tm * bm[2] + tx * bx[2])
-    phase = np.angle(complex(tm, tx))
-    u = np.zeros((cutoff, cutoff), dtype=complex)
+    blocks = []
     for parity in (0, 1):
         d, e = diagonal[parity::2], band[parity::2]
-        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        evals, vecs = np.linalg.eigh(t)
-        block = (vecs * np.cos(evals)) @ vecs.T + 1j * ((vecs * np.sin(evals)) @ vecs.T)
-        rot = np.exp(-1j * phase * np.arange(d.size))
-        block = (rot[:, None] * block) * rot.conj()[None, :]
-        u[parity::2, parity::2] = block
-    return UnitaryLCT(angles, B, cutoff, TruncatedOperator(cutoff, u, "unitary_lct"))
+        blocks.append(np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+    return UnitaryLCT(angles, B, cutoff, np.angle(complex(tm, tx)), tuple(blocks))
 
 
 def conjugate(u: UnitaryLCT, op: TruncatedOperator) -> TruncatedOperator:
@@ -122,26 +136,30 @@ def conjugate(u: UnitaryLCT, op: TruncatedOperator) -> TruncatedOperator:
         raise DimensionMismatch(
             f"operator cutoff {op.cutoff} does not match unitary cutoff {u.cutoff}"
         )
-    m = u.U.matrix @ op.matrix @ u.U.matrix.conj().T
+    dense = u.U.matrix
+    m = dense @ op.matrix @ dense.conj().T
     return TruncatedOperator(u.cutoff, m, f"conj({op.label})")
 
 
-def _leading_conjugate(u: UnitaryLCT, bands: dict, size: int) -> np.ndarray:
-    """The leading size x size block of U A U+, from the leading rows of U only.
+def _leading_conjugate(u: UnitaryLCT, bands: dict) -> np.ndarray:
+    """The leading cutoff/4 block of U A U+, one parity pair (p, q) at a time.
 
-    A is given as {offset: diagonal}, so rows @ A is summed one diagonal at a
-    time, in increasing offset, instead of as a dense product.
+    Rows of parity p meet only columns of parity p.  The band of A at offset k
+    joins p to q = p + k (mod 2) as the band at offset (k - q + p)/2 of
+    A[p::2, q::2], read from the diagonal at the parity of min(row, column); it
+    is summed into rows @ A_pq one diagonal at a time.
     """
-    rows = u.U.matrix[:size]
-    n = rows.shape[1]
-    rows_a = np.zeros_like(rows)
+    rows, rows_a = u.check_rows, {}
     for k, diagonal in sorted(bands.items()):
-        # column j of rows @ A gains rows[:, j - k] * A[j - k, j]
-        if k >= 0:
-            rows_a[:, k:] += rows[:, : n - k] * diagonal
-        else:
-            rows_a[:, :k] += rows[:, -k:] * diagonal
-    return rows_a @ rows.conj().T
+        for p, q in ((0, k % 2), (1, 1 - k % 2)):
+            acc = rows_a.setdefault((p, q), np.zeros((len(rows[p]), rows[q].shape[1]), complex))
+            a, s = max((k - q + p) // 2, 0), max((q - p - k) // 2, 0)
+            n = min(acc.shape[1] - a, rows[p].shape[1] - s)
+            acc[:, a:a + n] += rows[p][:, s:s + n] * diagonal[(p if k >= 0 else q)::2][:n]
+    out = np.zeros((u.cutoff // 4,) * 2, dtype=complex)
+    for (p, q), acc in rows_a.items():
+        out[p::2, q::2] = acc @ rows[q].conj().T
+    return out
 
 
 def _report_head(u: UnitaryLCT, check: str) -> dict:
@@ -162,8 +180,7 @@ def verify_homomorphism(u: UnitaryLCT, tol: float) -> dict:
     block = head["block"]
     p_hat, x_hat = quadrature_bands(u.cutoff)
     (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(u.angles, EUCLIDEAN_1D)))
-    lhs_p = _leading_conjugate(u, p_hat, block)
-    lhs_x = _leading_conjugate(u, x_hat, block)
+    lhs_p, lhs_x = _leading_conjugate(u, p_hat), _leading_conjugate(u, x_hat)
     p_lead, x_lead = _dense(p_hat, block), _dense(x_hat, block)
     res_p = float(np.max(np.abs(lhs_p - (pi * p_lead + th * x_lead))))
     res_x = float(np.max(np.abs(lhs_x - (xi * p_lead + la * x_lead))))
@@ -232,7 +249,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
 
     worst = 0.0
     for kind in ("+", "-", "x"):
-        numeric = _leading_conjugate(u, gens[kind], block)
+        numeric = _leading_conjugate(u, gens[kind])
         coeffs = tuple(float(c) for c in transform_generators(alg, s_rat, kind).triple())
         res_engine, res_printed = residual(numeric, coeffs), residual(numeric, printed_rows[kind])
         worst = max(worst, res_engine)
@@ -243,8 +260,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
             "printed_residual": res_printed,
             "printed_row_holds": res_printed < tol,
         }
-    report["max_residual"] = worst
-    report["passed"] = worst < tol
+    report.update(max_residual=worst, passed=worst < tol)
     return report
 
 

@@ -27,6 +27,12 @@ def _make(a: int, b: int, c: int, d: int, q: int) -> "GaussianRational":
     return z
 
 
+def _operand(value):
+    """value as a GaussianRational, or None (the arithmetic answers NotImplemented)."""
+    exact = isinstance(value, (int, Fraction, GaussianRational))
+    return GaussianRational.coerce(value) if exact else None
+
+
 class GaussianRational:
     """A complex number (a + b*sqrt2) + (c + d*sqrt2)*i with rational a,b,c,d."""
 
@@ -65,9 +71,6 @@ class GaussianRational:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
-    def is_real(self) -> bool:
-        return not (self._c or self._d)
-
     @property
     def re(self) -> Fraction:
         """Rational part of the real component (exact when sqrt2 part vanishes)."""
@@ -89,7 +92,9 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        o = other if type(other) is GaussianRational else _operand(other)
+        if o is None:
+            return NotImplemented
         q1, q2 = self._q, o._q
         return _make(self._a * q2 + o._a * q1, self._b * q2 + o._b * q1,
                      self._c * q2 + o._c * q1, self._d * q2 + o._d * q1, q1 * q2)
@@ -100,13 +105,15 @@ class GaussianRational:
         return _make(-self._a, -self._b, -self._c, -self._d, self._q)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        return NotImplemented if (o := _operand(other)) is None else self + (-o)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return NotImplemented if (o := _operand(other)) is None else o + (-self)
 
     def __mul__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        o = other if type(other) is GaussianRational else _operand(other)
+        if o is None:
+            return NotImplemented
         a1, b1, c1, d1 = self._a, self._b, self._c, self._d
         a2, b2, c2, d2 = o._a, o._b, o._c, o._d
         if not (b1 or d1 or b2 or d2):

@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import lctkit
-from lctkit import fock, hermite, metaplectic
-from lctkit.cli import main
+from lctkit import fock, hermite, metaplectic, symplectic
+from lctkit.cli import _wavefunction_csv, main
 
 
 @pytest.fixture()
@@ -457,3 +457,33 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("angles", ["0,0,0", "0.3,-0.2,0.25"])
+def test_verify_never_forms_the_dense_unitary(runner, monkeypatch, angles):
+    # the checks judge the leading cutoff/4 block from the parity factors; a
+    # change that assembles the cutoff x cutoff U on this path fails here
+    args = ["verify", "--homomorphism", "--basis-law", "--cutoff", "256", "--angles", angles]
+    plain = runner.invoke(main, args)
+
+    def refuse(self):
+        raise AssertionError("the dense unitary was formed")
+
+    monkeypatch.setattr(metaplectic.UnitaryLCT, "U", property(refuse))
+    with pytest.raises(AssertionError, match="dense unitary"):
+        metaplectic.build_unitary(symplectic.ThetaAngles.one_dim(0, 0, 0), 1.0, 32).U
+    patched = runner.invoke(main, args)
+    assert plain.exit_code == patched.exit_code == 0, patched.output
+    assert patched.stdout_bytes == plain.stdout_bytes
+
+
+def test_wavefunction_csv_renders_each_field_as_its_float_repr():
+    grid = np.array([-0.0, 0.1, 1e-300, np.nan, np.inf])
+    values = np.array([complex(-0.0, 0.0), complex(np.nan, -0.0), 1 / 3 + 2j, complex(0, np.inf), -1e22])
+    want = ["x,re,im"] + [
+        f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}" for x, v in zip(grid, values)
+    ]
+    assert _wavefunction_csv(grid, values) == "\n".join(want) + "\n"
+    assert _wavefunction_csv(grid, values.real) == "\n".join(
+        ["x,re,im"] + [f"{float(x)!r},{float(v)!r},0.0" for x, v in zip(grid, values.real)]
+    ) + "\n"

@@ -1,7 +1,11 @@
 """Unitary correspondence: construction, conjugation, both verification routes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lctkit.fock import CutoffTooSmall, _dense, dispersion_matrices
 from lctkit.metaplectic import (
@@ -16,7 +20,7 @@ from lctkit.metaplectic import (
     verify_basis_transformation,
     verify_homomorphism,
 )
-from lctkit.symplectic import DimensionMismatch, ThetaAngles, exp_sl2, from_angles
+from lctkit.symplectic import DimensionMismatch, ThetaAngles, exp_sl2, exp_sp, from_angles
 from lctkit.weyl import EUCLIDEAN_1D
 
 ANGLE_SAMPLES = [
@@ -191,6 +195,19 @@ def test_rationalized_matrix_is_exactly_unimodular():
         m = rationalize_symplectic(s)
         assert m[0][0] * m[1][1] - m[1][0] * m[0][1] == 1
         assert abs(float(m[0][0]) - float(s.Pi[0, 0])) < 1e-5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3))
+def test_rationalized_group_element_is_unimodular_and_close(angles):
+    s = exp_sp(from_angles(ThetaAngles.one_dim(*angles), EUCLIDEAN_1D))
+    m = rationalize_symplectic(s)
+    assert all(type(v) is Fraction for row in m for v in row)
+    assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+    floats = ((s.Pi, s.Xi), (s.Theta, s.Lambda))
+    for got_row, want_row in zip(m, floats):
+        for got, want in zip(got_row, want_row):
+            assert abs(float(got) - float(want[0, 0])) <= 1e-5, angles
 
 
 def test_basis_transformation_identity():

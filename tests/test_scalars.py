@@ -222,6 +222,16 @@ def test_equal_fractions_give_one_representation():
     assert GaussianRational(3) == 3
 
 
+def test_arithmetic_with_an_uncoercible_operand_is_a_type_error():
+    z = GaussianRational(1, 2)
+    for other in ("x", 0.5, None, [1]):
+        for op in (z.__add__, z.__radd__, z.__sub__, z.__rsub__, z.__mul__, z.__rmul__):
+            assert op(other) is NotImplemented
+    for expr in (lambda: z * "x", lambda: "x" * z, lambda: z + 0.5, lambda: 0.5 - z, lambda: z - None):
+        with pytest.raises(TypeError):
+            expr()
+
+
 def test_non_rational_parts_are_refused():
     with pytest.raises(TypeError):
         GaussianRational(0.5)

@@ -1,14 +1,20 @@
 """Parity-split unitary against the dense eigendecomposition it replaced.
 
 The reference exponentiates the full dense generator with one complex
-`eigh`, and conjugates with full matrix products.
+`eigh`, and conjugates with full matrix products.  The factor form of
+`UnitaryLCT` is checked against the dense matrix it stands for: its
+assembly, its leading rows, and its unitarity gate against the dense
+max|U+U - I| check on planted defects.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from lctkit.fock import TruncatedOperator, _dense
+from lctkit.fock import _dense
 from lctkit.metaplectic import (
+    UNITARITY_TOL,
     UnitaryLCT,
     _leading_conjugate,
     build_unitary,
@@ -87,17 +93,173 @@ def test_leading_block_residuals_match_dense_conjugation(angles):
             assert _close(row[key], np.max(np.abs(lhs - want)), lhs)
 
 
+def identity_factors(cutoff):
+    """Parity factors (eigenvalues, eigenvectors) of the identity at cutoff."""
+    return [(np.zeros(n), np.eye(n)) for n in ((cutoff + 1) // 2, cutoff // 2)]
+
+
+def _factor_unitary(cutoff, blocks, phase=0.0):
+    return UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), 1.0, cutoff, phase, tuple(blocks))
+
+
 def test_parity_mixing_operator_is_rejected():
-    swap = np.eye(16, dtype=complex)[[1, 0, *range(2, 16)]]
-    with pytest.raises(ValueError, match="mixes even and odd"):
-        UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), 1.0, 16, TruncatedOperator(16, swap, "swap"))
+    # an operator that mixes even and odd levels (the level swap 0 <-> 1) has
+    # no factors of parity-block sizes ceil(c/2), floor(c/2)
+    _factor_unitary(16, identity_factors(16))
+    whole = (np.zeros(16), np.eye(16)[[1, 0, *range(2, 16)]])
+    empty = (np.zeros(0), np.eye(0))
+    even, odd = identity_factors(17)
+    for cutoff, blocks in (
+        (16, [whole, empty]),
+        (16, [whole]),
+        (17, [odd, even]),
+        (16, [(np.zeros(8), np.eye(8)[:, :7]), identity_factors(16)[1]]),
+        (16, [(np.zeros(7), np.eye(8)), identity_factors(16)[1]]),
+    ):
+        with pytest.raises(ValueError, match="mixes even and odd"):
+            _factor_unitary(cutoff, blocks)
 
 
 def test_non_unitary_block_is_rejected():
-    m = np.eye(16, dtype=complex)
-    m[3, 3] = 1.0 + 1e-9
+    # level 3 is entry (1, 1) of the odd block; this plants U[3, 3] = 1 + 1e-9
+    blocks = identity_factors(16)
+    blocks[1][1][1, 1] = np.sqrt(1.0 + 1e-9)
+    assert np.isclose(assemble_blocks(0.0, blocks)[1][1, 1], 1.0 + 1e-9, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="not unitary"):
-        UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), 1.0, 16, TruncatedOperator(16, m, "scaled"))
+        _factor_unitary(16, blocks)
+    for bad in (np.nan, np.inf):
+        blocks = identity_factors(16)
+        blocks[0][0][2] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            _factor_unitary(16, blocks)
+    with pytest.raises(ValueError, match="not unitary"):
+        _factor_unitary(16, identity_factors(16), phase=np.nan)
+    with pytest.raises(ValueError, match="not unitary"):
+        _factor_unitary(16, [(w, v.astype(complex)) for w, v in identity_factors(16)])
+
+
+def assemble_blocks(phase, blocks):
+    """The dense parity blocks D V exp(iL) V^T D+ of a factor form."""
+    out = []
+    for evals, vecs in blocks:
+        rot = np.exp(-1j * phase * np.arange(vecs.shape[0]))
+        with np.errstate(invalid="ignore"):
+            out.append((rot[:, None] * ((vecs * np.exp(1j * evals)) @ vecs.T)) * rot.conj())
+    return out
+
+
+def dense_refuses(phase, blocks):
+    """The dense gate: refuse unless max|U+U - I| <= tol on both blocks."""
+    return any(
+        not np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))) <= UNITARITY_TOL
+        for b in assemble_blocks(phase, blocks)
+    )
+
+
+def planted_defects(blocks):
+    """(name, parity, factors) with one defect planted in one factor of one block."""
+    for parity, (evals, vecs) in enumerate(blocks):
+        n = vecs.shape[0]
+        for j in sorted({0, n // 2, n - 1}):
+            i = int(np.argmax(np.abs(vecs[:, j])))
+            for scale in (0.1, 0.25, 0.3, 0.45, 0.55, 1.0, 3.0, 10.0):
+                eps = scale * UNITARITY_TOL
+                for name, i_row in (("entry", i), ("entry-off", (i + 1) % n)):
+                    v = vecs.copy()
+                    v[i_row, j] += eps
+                    yield f"{name} {parity} ({i_row},{j}) {scale}", parity, (evals, v)
+                v = vecs.copy()
+                v[:, j] *= 1.0 + eps
+                yield f"column {parity} {j} x(1+{scale} tol)", parity, (evals, v)
+            for bad in (np.nan, np.inf, -np.inf):
+                w = evals.copy()
+                w[j] = bad
+                yield f"eigenvalue {parity} {j} {bad}", parity, (w, vecs)
+
+
+@pytest.mark.parametrize("cutoff", [16, 33, 256])
+@pytest.mark.parametrize("angles", [(0.7, 0.0, 0.0), (0.0, 0.7, 0.0), (0.3, -0.2, 0.25)])
+def test_factor_gate_refuses_every_defect_the_dense_check_refuses(angles, cutoff):
+    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    assert not dense_refuses(u.phase, u.blocks)
+    refused = 0
+    for name, parity, block in planted_defects(u.blocks):
+        blocks = list(u.blocks)
+        blocks[parity] = block
+        if dense_refuses(u.phase, blocks):
+            refused += 1
+            try:
+                dataclasses.replace(u, blocks=tuple(blocks))
+            except ValueError as exc:
+                assert "not unitary" in str(exc), name
+            else:
+                pytest.fail(f"the factor gate accepts a defect the dense check refuses: {name}")
+    # the planted sizes straddle the tolerance: the dense check refuses most
+    assert refused >= 30
+
+
+@pytest.mark.parametrize("cutoff", [16, 33, 256])
+@pytest.mark.parametrize("angles", [(0.0, 0.0, 0.7), (0.3, -0.2, 0.25)])
+def test_flipped_band_phase_passes_both_gates_and_fails_the_residual(angles, cutoff):
+    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    flipped = dataclasses.replace(u, phase=-u.phase)
+    assert not dense_refuses(flipped.phase, flipped.blocks)
+    assert np.max(np.abs(flipped.U.matrix - u.U.matrix)) > 1e-3
+    if cutoff >= 32:
+        assert verify_homomorphism(u, 1e-6)["passed"]
+        assert verify_homomorphism(flipped, 1e-6)["max_residual"] > 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [16, 17, 33, 64, 255, 256, 511, 1024])
+def test_every_built_unitary_passes_the_factor_gate(cutoff):
+    rng = np.random.default_rng(cutoff)
+    angle_sets = EDGE_ANGLES + [(2.0, -2.0, 2.0)] + [tuple(rng.uniform(-2, 2, 3)) for _ in range(3)]
+    for angles in angle_sets:
+        u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+        if cutoff <= 256:
+            assert not dense_refuses(u.phase, u.blocks), angles
+
+
+def reference_unitary(angles, B, cutoff):
+    """The dense assembly `build_unitary` made before the factor form, verbatim."""
+    tp, tm, tx = angles
+    bp, bm, bx = generator_bands(B, cutoff)
+    diagonal = tp * bp[0].real
+    band = np.abs(tm * bm[2] + tx * bx[2])
+    phase = np.angle(complex(tm, tx))
+    u = np.zeros((cutoff, cutoff), dtype=complex)
+    for parity in (0, 1):
+        d, e = diagonal[parity::2], band[parity::2]
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        evals, vecs = np.linalg.eigh(t)
+        block = (vecs * np.cos(evals)) @ vecs.T + 1j * ((vecs * np.sin(evals)) @ vecs.T)
+        rot = np.exp(-1j * phase * np.arange(d.size))
+        block = (rot[:, None] * block) * rot.conj()[None, :]
+        u[parity::2, parity::2] = block
+    return u
+
+
+UNEVEN_CUTOFFS = [17, 33, 36, 45, 257]
+
+
+@pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS + [16, 1024])
+@pytest.mark.parametrize("angles", EDGE_ANGLES)
+def test_dense_view_is_the_reference_assembly_byte_for_byte(angles, cutoff):
+    u = build_unitary(ThetaAngles.one_dim(*angles), 1.3, cutoff)
+    assert np.array_equal(u.U.matrix, reference_unitary(angles, 1.3, cutoff))
+
+
+@pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS)
+@pytest.mark.parametrize("angles", [(0.3, -0.2, 0.25), (0.5, 0.5, -0.5), (2.0, -1.5, 1.7)])
+def test_leading_rows_match_the_dense_view(angles, cutoff):
+    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    dense = u.U.matrix
+    for m in sorted({1, 2, 3, 8, 9, cutoff // 4, cutoff // 2 + 1, cutoff - 1, cutoff}):
+        rows = np.zeros((m, cutoff), dtype=complex)
+        for parity, r in enumerate(u.leading_rows(m)):
+            rows[parity::2, parity::2] = r
+        assert np.max(np.abs(rows - dense[:m])) <= 1e-15 * np.max(np.abs(dense[:m])), m
+    assert all(a is b for a, b in zip(u.check_rows, u.check_rows))
 
 
 def dense_operators(B, cutoff):
@@ -125,7 +287,7 @@ def band_operators(B, cutoff):
                     (*quadrature_bands(cutoff), *generator_bands(B, cutoff))))
 
 
-@pytest.mark.parametrize("cutoff", [32, 33, 128])
+@pytest.mark.parametrize("cutoff", [32, 33, 128, 17, 36, 45, 257])
 @pytest.mark.parametrize("angles", [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.0, 0.7, -0.5)])
 def test_leading_conjugate_of_every_band_operator_matches_dense(angles, cutoff):
     B = 1.3
@@ -135,6 +297,6 @@ def test_leading_conjugate_of_every_band_operator_matches_dense(angles, cutoff):
     for name, bands in band_operators(B, cutoff).items():
         a = dense[name]
         assert np.max(np.abs(_dense(bands, cutoff) - a)) <= 1e-15 * np.max(np.abs(a)), name
-        got = _leading_conjugate(u, bands, block)
+        got = _leading_conjugate(u, bands)
         want = dense_leading_conjugate(u.U.matrix, a, block)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(a)), name

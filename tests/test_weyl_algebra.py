@@ -399,6 +399,17 @@ def test_zero_fast_paths_keep_their_results():
     assert (ALG.zero() + ALG.zero()).is_zero()
 
 
+def test_scalar_first_operations_defer_to_the_polynomial():
+    poly = ALG.word("p", "x") * GaussianRational(0, 0, 1) + ALG.dispersion_scale(1) * ALG.x()
+    for c in (ZERO, ONE, I, GaussianRational(Fraction(-2, 3), 1, 0, Fraction(1, 5))):
+        assert c * poly == poly * c
+        assert c + poly == poly + c
+        assert c - poly == -(poly - c)
+    assert (ZERO * poly).is_zero()
+    assert I * poly == poly * I
+    assert ONE + poly == poly + ONE
+
+
 def test_zero_from_another_convention_is_still_rejected():
     for other in (WeylAlgebra(EUCLIDEAN_1D, -1), WeylAlgebra(Metric(2, 0), +1)):
         for poly in (ALG.x(), ALG.zero(), ALG.x() * 0):
