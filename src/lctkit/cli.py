@@ -162,8 +162,7 @@ def basis(ctx, level, grid, x0, p0, b):
 
 
 _SPEC_FIELDS = ("X", "P", "B", "cutoff", "theta_plus", "theta_minus", "theta_cross")
-# transform forms the dense cutoff x cutoff complex unitary (64 MiB at 2048);
-# verify holds only its parity factors and leading rows
+# bounds the eigh time and the real parity factors (2 x 8 MiB at 2048)
 _MAX_CUTOFF = 2048
 
 
@@ -207,8 +206,7 @@ def transform(ctx, input_path, spec_path):
     except (hermite.InsufficientSupport, hermite.NotNormalized) as exc:
         raise click.UsageError(str(exc))
     unitary = metaplectic.build_unitary(angles, params.B, cutoff)
-    action = metaplectic.position_convention_unitary(unitary)
-    new_coeffs = action @ expansion.coeffs
+    new_coeffs = metaplectic.position_convention_unitary(unitary).apply(expansion.coeffs)
     out_wf = hermite.synthesize(
         hermite.CoefficientExpansion(params, cutoff, new_coeffs), wf.grid
     )

@@ -14,7 +14,7 @@ parity block the generator is Hermitian tridiagonal and its off-diagonal
 carries the single phase phi = arg(t- + i tx); with D = diag(exp(-i k phi))
 the block is D T D+ for a real symmetric tridiagonal T = V L V^T, so each block
 costs one real eigendecomposition of half the cutoff.  `UnitaryLCT` keeps those
-factors; only its dense view `U` (`conjugate`, `transform`) forms U itself.
+factors and acts with them (`apply`); only its dense view `U` forms U itself.
 
 Truncation contaminates the top of the tower, so all residuals are measured
 on the leading cutoff/4 block, which stays clean for |angles| <= 1.  They are
@@ -26,7 +26,7 @@ checks take a built `UnitaryLCT`, so one set of leading rows serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -81,6 +81,17 @@ class UnitaryLCT:
     @cached_property
     def check_rows(self) -> tuple:
         return self.leading_rows(self.cutoff // 4)  # the block the residual checks judge
+
+    def apply(self, v) -> np.ndarray:
+        """U v for one vector of `cutoff` entries, per block as D V e^{iL} V^T D+ v."""
+        if np.shape(v) != (self.cutoff,):
+            raise DimensionMismatch(f"vector shape {np.shape(v)} does not match cutoff {self.cutoff}")
+        out = np.empty(self.cutoff, dtype=complex)
+        for parity, (evals, vecs) in enumerate(self.blocks):
+            rot = np.exp(-1j * self.phase * np.arange(len(evals)))
+            inner = np.exp(1j * evals) * (vecs.T @ (rot.conj() * v[parity::2]))
+            out[parity::2] = rot * (vecs @ inner)
+        return out
 
     @property
     def U(self) -> TruncatedOperator:
@@ -264,8 +275,8 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     return report
 
 
-def position_convention_unitary(u: UnitaryLCT) -> np.ndarray:
-    """Matrix of U in the phase convention of the real Hermite-Gaussian family.
+def position_convention_unitary(u: UnitaryLCT) -> UnitaryLCT:
+    """U in the phase convention of the real Hermite-Gaussian family.
 
     The number basis used here fixes its phases by the ladder action
     sqrt(n) |n-1> without any phase factor; relative to the wavefunction
@@ -273,24 +284,8 @@ def position_convention_unitary(u: UnitaryLCT) -> np.ndarray:
     extra i^n per level.  Re-expressing U for coefficient vectors obtained by
     projecting onto the wavefunctions is the diagonal conjugation D U D+ with
     D = diag(i^n).  Without it a coordinate squeeze would act as its inverse
-    on sampled data.
+    on sampled data.  In a parity block D U D+ multiplies entry (2j+p, 2k+p)
+    by i^(2(j-k)) = exp(-i pi (j-k)): the band phase moved by pi.  The result
+    serves `apply` and `U`; the verify checks use the number-basis U.
     """
-    phases = 1j ** np.arange(u.cutoff)
-    return (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
-
-
-def rescale_frame(coefficients, B: float, Bprime: float, normalization: str = "J"):
-    """Carry generator coefficients from dispersion scale B to Bprime.
-
-    Scale-normalised coefficients (the J family, linear in B) pick up the
-    factor Bprime/B; quarter-normalised coefficients (the b family) are scale
-    free and pass through unchanged.
-    """
-    if not (B > 0 and Bprime > 0):
-        raise NonPositiveDispersion("dispersion scales must be positive")
-    if normalization == "b":
-        return tuple(coefficients)
-    if normalization == "J":
-        factor = Bprime / B
-        return tuple(c * factor for c in coefficients)
-    raise ValueError("normalization must be 'J' or 'b'")
+    return replace(u, phase=u.phase + np.pi)

@@ -85,13 +85,6 @@ class ThetaAngles:
             float(self.theta_cross[0, 0]),
         )
 
-    def norm(self) -> float:
-        return max(
-            np.max(np.abs(self.theta_plus)),
-            np.max(np.abs(self.theta_minus)),
-            np.max(np.abs(self.theta_cross)),
-        )
-
 
 def _eta_matrix(metric: Metric) -> np.ndarray:
     return np.diag(np.array(metric.diag(), dtype=float))

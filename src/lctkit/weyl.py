@@ -232,11 +232,6 @@ class WeylPolynomial:
     def __hash__(self):
         return hash((self.algebra.key(), frozenset(self.terms.items())))
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m[1]) + sum(m[2]) for m in self.terms)
-
     def adjoint(self) -> "WeylPolynomial":
         """Formal adjoint: i -> -i on coefficients, factor order reversed."""
         alg = self.algebra
@@ -246,9 +241,6 @@ class WeylPolynomial:
                 alg, acc, (b2, alg._zero_exp, ps), c.conjugate(), (0, xs, alg._zero_exp), ONE
             )
         return WeylPolynomial(alg, acc)
-
-    def coefficient(self, mono) -> GaussianRational:
-        return self.terms.get(mono, ZERO)
 
     # -- rendering -------------------------------------------------------
 
@@ -511,15 +503,6 @@ class StructureConstants:
         if (i, j) in self.table:
             return self.table[(i, j)]
         return {k: -v for k, v in self.table[(j, i)].items()}
-
-    def antisymmetry_violations(self):
-        bad = []
-        for (i, j), row in self.table.items():
-            mirror = self.bracket(j, i)
-            for k, v in row.items():
-                if mirror.get(k, ZERO) != -v:
-                    bad.append((i, j, k))
-        return bad
 
     def jacobi_violations(self):
         """Exact Jacobi check over all basis triples i < j < k."""

@@ -477,6 +477,25 @@ def test_verify_never_forms_the_dense_unitary(runner, monkeypatch, angles):
     assert patched.stdout_bytes == plain.stdout_bytes
 
 
+def test_transform_never_forms_the_dense_unitary(runner, monkeypatch, tmp_path):
+    # transform applies U to the coefficient vector from the parity factors
+    wf_path = str(tmp_path / "wf.csv")
+    _write_ground_state(runner, wf_path, n=1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 64,
+                                "theta_plus": 0.3, "theta_minus": -0.2, "theta_cross": 0.25}))
+    args = ["--format", "json", "transform", "--input", wf_path, "--spec", str(spec)]
+    plain = runner.invoke(main, args)
+
+    def refuse(self):
+        raise AssertionError("the dense unitary was formed")
+
+    monkeypatch.setattr(metaplectic.UnitaryLCT, "U", property(refuse))
+    patched = runner.invoke(main, args)
+    assert plain.exit_code == patched.exit_code == 0, patched.output
+    assert patched.stdout_bytes == plain.stdout_bytes
+
+
 def test_wavefunction_csv_renders_each_field_as_its_float_repr():
     grid = np.array([-0.0, 0.1, 1e-300, np.nan, np.inf])
     values = np.array([complex(-0.0, 0.0), complex(np.nan, -0.0), 1 / 3 + 2j, complex(0, np.inf), -1e22])

@@ -1,5 +1,6 @@
 """Unitary correspondence: construction, conjugation, both verification routes."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from lctkit.metaplectic import (
     position_convention_unitary,
     quadrature_bands,
     rationalize_symplectic,
-    rescale_frame,
     verify_basis_transformation,
     verify_homomorphism,
 )
@@ -244,28 +244,35 @@ def test_basis_transformation_printed_first_rows_fail_off_identity():
 
 def test_position_convention_bridge_is_unitary_and_fixes_diagonal():
     u = build_unitary(ThetaAngles.one_dim(0.7, 0, 0), 1.0, 32)
-    bridged = position_convention_unitary(u)
+    bridged = position_convention_unitary(u).U.matrix
     assert np.max(np.abs(bridged.conj().T @ bridged - np.eye(32))) < 1e-12
     # diagonal unitaries are unchanged by the diagonal phase conjugation
     assert np.max(np.abs(bridged - u.U.matrix)) < 1e-15
 
 
-def test_position_convention_bridge_transposes_band_phases():
-    u = build_unitary(ThetaAngles.one_dim(0, 0.3, 0), 1.0, 32)
-    bridged = position_convention_unitary(u)
-    phases = 1j ** np.arange(32)
-    want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
-    assert np.array_equal(bridged, want)
+def test_position_convention_bridge_matches_the_dense_phase_conjugation():
+    # the pi shift of the band phase stands for D U D+ with D = diag(i^n)
+    for cutoff in (16, 17, 33, 256, 257):
+        phases = 1j ** np.arange(cutoff)
+        for angles in ANGLE_SAMPLES + [(0.0, -0.6, 0.0), (0.0, 0.0, 0.7), (-1.3, 0.0, 0.0)]:
+            u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+            want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
+            got = position_convention_unitary(u).U.matrix
+            assert np.max(np.abs(got - want)) <= 1e-12, (cutoff, angles)
 
 
-def test_rescale_frame():
-    assert rescale_frame((1.0, 2.0, -0.5), 1.0, 1.0) == (1.0, 2.0, -0.5)
-    assert rescale_frame((1.0, 2.0, -0.5), 1.0, 2.0) == (2.0, 4.0, -1.0)
-    assert rescale_frame((1.0, 2.0, -0.5), 1.0, 2.0, "b") == (1.0, 2.0, -0.5)
-    roundtrip = rescale_frame(rescale_frame((1.0, 2.0), 1.0, 3.0), 3.0, 1.0)
-    assert roundtrip == (1.0, 2.0)
-    with pytest.raises(NonPositiveDispersion):
-        rescale_frame((1.0,), -1.0, 1.0)
+def test_position_convention_apply_at_the_largest_cutoff_forms_no_dense_unitary():
+    # one cutoff x cutoff complex matrix at 2048 is 64 MiB
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 2048)
+    coeffs = np.random.default_rng(3).normal(size=2048) + 0j
+    tracemalloc.start()
+    try:
+        out = position_convention_unitary(u).apply(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert abs(np.linalg.norm(out) - np.linalg.norm(coeffs)) <= 1e-10 * np.linalg.norm(coeffs)
 
 
 def test_generator_matrices_scale_free():

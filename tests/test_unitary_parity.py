@@ -23,7 +23,7 @@ from lctkit.metaplectic import (
     verify_basis_transformation,
     verify_homomorphism,
 )
-from lctkit.symplectic import ThetaAngles
+from lctkit.symplectic import DimensionMismatch, ThetaAngles
 
 CUTOFFS = [16, 17, 33, 256, 257]
 EDGE_ANGLES = [
@@ -260,6 +260,23 @@ def test_leading_rows_match_the_dense_view(angles, cutoff):
             rows[parity::2, parity::2] = r
         assert np.max(np.abs(rows - dense[:m])) <= 1e-15 * np.max(np.abs(dense[:m])), m
     assert all(a is b for a, b in zip(u.check_rows, u.check_rows))
+
+
+@pytest.mark.parametrize("cutoff", [16, 17, 33, 36, 45, 256, 257])
+@pytest.mark.parametrize("angles", EDGE_ANGLES)
+def test_apply_matches_the_dense_view(angles, cutoff):
+    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    rng = np.random.default_rng(cutoff)
+    for v in (rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff), np.eye(cutoff)[cutoff - 1]):
+        got = u.apply(v)
+        assert np.max(np.abs(got - u.U.matrix @ v)) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_apply_refuses_a_vector_of_another_length():
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 33)
+    for v in (np.ones(32), np.ones(34), np.ones((1, 33)), np.ones(0)):
+        with pytest.raises(DimensionMismatch, match="does not match cutoff 33"):
+            u.apply(v)
 
 
 def dense_operators(B, cutoff):
