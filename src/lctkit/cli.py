@@ -188,9 +188,11 @@ def transform(ctx, input_path, spec_path):
         raise click.UsageError(f"bad transform spec: {exc}")
     for key, value in spec.items():
         _require_finite(value, f"transform spec field {key}")
+    if not spec["cutoff"].is_integer():
+        raise click.UsageError("transform spec cutoff must be an integer")
+    cutoff = int(spec["cutoff"])
     try:
         params = hermite.BasisParams(spec["X"], spec["P"], spec["B"])
-        cutoff = int(raw["cutoff"])
         angles = symplectic.ThetaAngles.one_dim(
             spec["theta_plus"], spec["theta_minus"], spec["theta_cross"]
         )
@@ -323,6 +325,8 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     """
     theta = _parse_angles(angles)
     _require_finite(tol, "tol")
+    if tol <= 0:
+        raise click.UsageError(f"tol must be positive, got {tol!r}")
     homomorphism, basis_law = homomorphism or run_all, basis_law or run_all
     if (homomorphism or basis_law) and cutoff > _MAX_CUTOFF:
         raise click.UsageError(f"cutoff must be <= {_MAX_CUTOFF}")

@@ -122,24 +122,6 @@ class CoefficientExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def coefficients_to_json(expansion: CoefficientExpansion) -> dict:
-    """Serialisable form: {"X", "P", "B", "cutoff", "coeffs": [[re, im], ...]}."""
-    return {
-        "X": expansion.params.X,
-        "P": expansion.params.P,
-        "B": expansion.params.B,
-        "cutoff": expansion.cutoff,
-        "coeffs": [[float(c.real), float(c.imag)] for c in expansion.coeffs],
-    }
-
-
-def coefficients_from_json(payload: dict) -> CoefficientExpansion:
-    params = BasisParams(float(payload["X"]), float(payload["P"]), float(payload["B"]))
-    cutoff = int(payload["cutoff"])
-    coeffs = np.array([complex(re, im) for re, im in payload["coeffs"]])
-    return CoefficientExpansion(params, cutoff, coeffs)
-
-
 def hermite_polynomial(n: int, t):
     """Physicists' Hermite polynomial H_n(t) by the three-term recurrence."""
     if n < 0:

@@ -8,12 +8,20 @@ writes files through `--output` also stores each of them as
 `cases/<name>.<file>`.  Inputs the cases read live in `inputs/`.
 `tests/test_golden.py` replays every case and compares the bytes.
 
+    python3 tests/golden/record.py tables
+
+records instead `table_digests.json`: one sha256 per `verify_table(...)`
+report (its `to_json()` as `json.dumps`) over every key of
+`table_report_keys`.  `tests/test_tables.py` recomputes them.
+
 The corpus is a lock on behaviour: re-record it only for a deliberate,
 documented change of output, never to make a failing comparison pass.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +32,7 @@ HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 CASES_DIR = HERE / "cases"
 SRC = HERE.parent.parent / "src"
+TABLE_DIGESTS = HERE / "table_digests.json"
 
 # name -> CLI arguments; "{in}" expands to the inputs directory and "{out}" to
 # a scratch directory whose files become part of the case
@@ -75,7 +84,41 @@ def corpus_path(name: str, suffix: str) -> Path:
     return CASES_DIR / f"{name}.{suffix}"
 
 
+def table_report_keys():
+    """(table, n_plus, n_minus, sign) of every report the digest lock holds.
+
+    Each one-dimensional table under both signs, and each tensor table at
+    every signature with 1 <= N <= 4 under both signs.
+    """
+    from lctkit.tables import ONE_DIMENSIONAL_TABLES, TENSOR_TABLES
+
+    keys = [(t, 1, 0, sign) for t in ONE_DIMENSIONAL_TABLES for sign in (1, -1)]
+    for table in TENSOR_TABLES:
+        for n in range(1, 5):
+            for n_plus in range(n, -1, -1):
+                keys += [(table, n_plus, n - n_plus, sign) for sign in (1, -1)]
+    return keys
+
+
+def table_report_digest(table: str, n_plus: int, n_minus: int, sign: int) -> str:
+    from lctkit.tables import verify_table
+    from lctkit.weyl import Metric
+
+    report = verify_table(table, metric=Metric(n_plus, n_minus), sign=sign)
+    return hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+
+
+def record_table_digests():
+    digests = {" ".join(map(str, key)): table_report_digest(*key) for key in table_report_keys()}
+    TABLE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"{TABLE_DIGESTS.name}: {len(digests)} reports")
+
+
 def main():
+    if sys.argv[1:] == ["tables"]:
+        sys.path.insert(0, str(SRC))
+        record_table_digests()
+        return
     CASES_DIR.mkdir(exist_ok=True)
     for name in CASES:
         files = run_case(name)

@@ -421,6 +421,29 @@ def test_non_finite_input_is_usage_error(runner, tmp_path, position, value):
     assert "must be finite" in result.output
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+@pytest.mark.parametrize("check", ["--homomorphism", "--table=Eq10"])
+def test_non_positive_tol_is_usage_error(runner, check, tol):
+    result = runner.invoke(main, ["verify", check, "--tol", tol])
+    assert result.exit_code == 2, result.output
+    assert "tol must be positive" in result.output
+
+
+# the cutoff as written in the spec file, and the exit code it must give
+@pytest.mark.parametrize(
+    "cutoff,code", [("64.5", 2), ('"64.5"', 2), ("64", 0), ("64.0", 0), ("1e2", 0), ('"64"', 0)]
+)
+def test_transform_spec_cutoff_must_be_an_integer(runner, tmp_path, cutoff, code):
+    wf_path = str(tmp_path / "wf.csv")
+    _write_ground_state(runner, wf_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_VALID_SPEC, cutoff="@")).replace('"@"', cutoff))
+    result = runner.invoke(main, ["transform", "--input", wf_path, "--spec", str(spec)])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "cutoff must be an integer" in result.output
+
+
 @pytest.mark.parametrize("grid", ["--grid=-1:1:3", None])
 @pytest.mark.parametrize("b", ["1e-320", "1e308"])
 def test_basis_b_out_of_range_is_usage_error(runner, b, grid):

@@ -249,23 +249,6 @@ def test_dispersion_requires_normalisation():
         dispersion_estimate(wf)
 
 
-def test_coefficient_file_round_trip():
-    import json
-
-    from lctkit.hermite import coefficients_from_json, coefficients_to_json
-
-    rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    exp = CoefficientExpansion(BasisParams(0.5, -1.0, 2.0), 6, coeffs)
-    payload = coefficients_to_json(exp)
-    assert set(payload) == {"X", "P", "B", "cutoff", "coeffs"}
-    assert payload["coeffs"][0] == [coeffs[0].real, coeffs[0].imag]
-    back = coefficients_from_json(json.loads(json.dumps(payload)))
-    assert back.params == exp.params
-    assert back.cutoff == 6
-    assert np.array_equal(back.coeffs, exp.coeffs)
-
-
 def test_large_level_evaluation_does_not_overflow():
     xs = np.linspace(-30, 30, 501)
     vals = phi(200, xs, PARAMS)

@@ -7,7 +7,10 @@ convention).  Those verdicts, with the engine's corrected forms, are locked
 in here so any registry or engine change that disturbs them is caught.
 """
 
+import importlib.util
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,12 @@ from lctkit.tables import (
 from lctkit.weyl import Metric, WeylAlgebra, build_generator, commutator
 
 TWO_I = GaussianRational(0, 2)
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_record", Path(__file__).resolve().parent / "golden" / "record.py"
+)
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
 
 TENSOR_METRICS = [Metric(1, 0), Metric(2, 0), Metric(1, 1), Metric(3, 0), Metric(1, 2)]
 
@@ -196,3 +205,15 @@ def test_eq73_builds_each_quadratic_word_once_per_call(monkeypatch):
     second = verify_table("Eq73", metric=Metric(4, 0))
     assert len(calls) == 2 * n_first
     assert second.to_json() == first.to_json()
+
+
+@pytest.mark.parametrize("table", TABLE_IDS)
+def test_every_report_matches_its_recorded_digest(table):
+    # one sha256 per report over both signs and, for tensor tables, every
+    # signature with N <= 4 (re-record with `python3 tests/golden/record.py
+    # tables` only for a deliberate change of a report)
+    recorded = json.loads(record.TABLE_DIGESTS.read_text())
+    keys = {" ".join(map(str, key)): key for key in record.table_report_keys() if key[0] == table}
+    assert keys and set(keys) == {k for k in recorded if k.split()[0] == table}
+    for name, key in keys.items():
+        assert record.table_report_digest(*key) == recorded[name], name
