@@ -48,6 +48,11 @@ CASES = {
                        "--angles", "0.1,0.1,0.1"],
     "verify-all-1-1": ["verify", "--all", "--signature", "1,1", "--cutoff", "64",
                        "--angles", "0.3,-0.2,0.25"],
+    # the benchmark warm-up's shape: at N = 1 every index tuple is its own orbit
+    "verify-all-1-0": ["verify", "--signature", "1,0", "--all", "--cutoff", "32",
+                       "--angles=0.2,-0.1,0.3"],
+    # the largest orbit reduction: 256 index tuples, 15 orbits
+    "verify-all-4-0": ["verify", "--all", "--signature", "4,0", "--cutoff", "32"],
     "verify-homomorphism": ["verify", "--homomorphism", "--angles", "0.3,-0.2,0.25",
                             "--cutoff", "64"],
     "verify-basis-law": ["verify", "--basis-law", "--angles", "0.4,0,0", "--cutoff", "64"],
