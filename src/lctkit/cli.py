@@ -103,6 +103,14 @@ def _require_finite(value: float, name: str) -> None:
         raise click.UsageError(f"{name} must be finite, got {value!r}")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int when it is integral: 1, 1.0 and "1" are; 1.5 is refused."""
+    number = float(value)
+    if not number.is_integer():
+        raise click.UsageError(f"{name} must be an integer")
+    return int(number)
+
+
 def _parse_angles(text: str) -> symplectic.ThetaAngles:
     try:
         tp, tm, tx = (float(v) for v in text.split(","))
@@ -188,9 +196,7 @@ def transform(ctx, input_path, spec_path):
         raise click.UsageError(f"bad transform spec: {exc}")
     for key, value in spec.items():
         _require_finite(value, f"transform spec field {key}")
-    if not spec["cutoff"].is_integer():
-        raise click.UsageError("transform spec cutoff must be an integer")
-    cutoff = int(spec["cutoff"])
+    cutoff = _integer(spec["cutoff"], "transform spec cutoff")
     try:
         params = hermite.BasisParams(spec["X"], spec["P"], spec["B"])
         angles = symplectic.ThetaAngles.one_dim(
@@ -382,16 +388,18 @@ def expmap(ctx, input_path):
     """Exponentiate angle parameters to a (pseudo-)symplectic matrix."""
     try:
         raw = json.loads(_read_text(input_path))
-        n = int(raw["dim"])
+        n = _integer(raw["dim"], "bad expmap input: dim")
         sig = raw.get("signature", [n, 0])
-        metric = weyl.Metric(int(sig[0]), int(sig[1]))
+        if not isinstance(sig, list) or len(sig) != 2:
+            raise ValueError(f"signature must be [n_plus, n_minus], got {sig!r}")
+        metric = weyl.Metric(*(_integer(v, "bad expmap input: each signature entry") for v in sig))
         theta = symplectic.ThetaAngles(
             n,
             np.atleast_2d(raw["theta_plus"]),
             np.atleast_2d(raw["theta_minus"]),
             np.atleast_2d(raw["theta_cross"]),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"bad expmap input: {exc}")
     if metric.dim != n:
         raise click.UsageError("signature does not match dim")

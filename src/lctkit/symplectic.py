@@ -248,61 +248,3 @@ def invert(s: SymplecticMatrix) -> SymplecticMatrix:
     out = SymplecticMatrix.from_full(s.metric, jinv @ s.full().T @ j)
     _require_symplectic(out, COMPOSITION_TOL, "inverse")
     return out
-
-
-def infinitesimal_check(angles: ThetaAngles, metric: Metric, h: float) -> dict:
-    """Richardson check that exp(h M) - (1 + h M) shrinks like h^2.
-
-    Evaluates the deviation at h and h/2; the ratio should sit near 4.  Zero
-    angles are reported as exact.
-    """
-    if not 0 < h <= 1e-3:
-        raise ValueError("step must satisfy 0 < h <= 1e-3")
-    m = from_angles(angles, metric)
-    full = m.full()
-    eye = np.eye(full.shape[0])
-
-    def deviation(step: float) -> float:
-        scaled = AlgebraMatrix(metric, step * m.M1, step * m.M2, step * m.M3, step * m.M4)
-        return float(np.max(np.abs(exp_sp(scaled).full() - (eye + step * full))))
-
-    dev_h = deviation(h)
-    dev_half = deviation(h / 2.0)
-    exact = dev_h == 0.0 and dev_half == 0.0
-    ratio = None if exact else dev_h / dev_half if dev_half else float("inf")
-    return {
-        "h": h,
-        "deviation_h": dev_h,
-        "deviation_half": dev_half,
-        "ratio": ratio,
-        "exact": exact,
-        "second_order": exact or (ratio is not None and 3.5 <= ratio <= 4.5),
-    }
-
-
-def angle_basis_rank(metric: Metric) -> int:
-    """Numerical rank of the linear map angles -> algebra matrices.
-
-    The image should have dimension N(2N+1): N(N+1)/2 from each symmetric
-    family plus N^2 from the cross family.
-    """
-    n = metric.dim
-    images = []
-
-    def push(tp, tm, tx):
-        angles = ThetaAngles(n, tp, tm, tx)
-        images.append(from_angles(angles, metric).full().ravel())
-
-    zero = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            push(e, zero, zero)
-            push(zero, e, zero)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            push(zero, zero, e)
-    return int(np.linalg.matrix_rank(np.array(images), tol=1e-10))

@@ -9,6 +9,12 @@ builder that yields its printed lines at one index tuple: arity 0 is a
 one-dimensional table (sign=+1 convention), arity 2, 3 or 4 a tensor table
 (sign=-1 convention).  `verify_table` runs the index loop over all tuples,
 applies the owning convention and passes the builders its polynomial memo.
+
+The index tuples fall into orbits under the permutations of modes that keep
+each signature block, and every tensor-table line is covariant under them
+(eta is diagonal).  So a builder runs only at each orbit's representative
+tuple; every other tuple of the orbit replays the representative's lines
+with `weyl.relabel_modes`.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .weyl import (
     generator_labels,
     label_text,
     raw_ladder,
+    relabel_modes,
 )
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -322,17 +329,40 @@ def correction_basis(alg: WeylAlgebra, gen):
     return labels, polys + [gen(*l) for l in gen_labels] + [alg.one()]
 
 
+def _orbit(indices: tuple, metric: Metric):
+    """The representative of the index tuple's orbit and the perm back to it.
+
+    Modes are relabelled in order of first appearance: the first new index in
+    each signature block takes the next free mode of that block.  perm[r] is
+    the mode that mode r of the representative stands for (the modes the
+    tuple leaves unused fill the rest of each block in order), so
+    relabel_modes of a line at the representative is the line at `indices`.
+    """
+    seen = list(dict.fromkeys(indices))
+    perm = []
+    for block in (range(metric.n_plus), range(metric.n_plus, metric.dim)):
+        perm += [mu for mu in seen if mu in block] + [mu for mu in block if mu not in seen]
+    return tuple(perm.index(mu) for mu in indices), tuple(perm)
+
+
 def verify_table(table: str, metric: Metric | None = None, sign: int | None = None) -> TableReport:
     """Check every printed line of a table at every index tuple.
 
-    A table of arity k is built once per k-tuple over 0..N-1, in
-    `itertools.product` order; arity 0 is one build at N = 1.  The owning
-    convention sign is applied by default; passing `sign` overrides it (used
-    to record how a table behaves under the other convention).  The lines
-    and the correction basis share one memo, `gen(kind, mu=0, nu=0)`: kinds
-    "+", "-", "x" give the quadratic generator, "pp", "px", "xp", "xx" the
-    word (gen("px", mu, nu) = p_mu x_nu).  Each is built once per call; the
-    memo is local, so nothing is kept between calls.
+    A table of arity k is checked at every k-tuple over 0..N-1, in
+    `itertools.product` order; arity 0 is the empty tuple at N = 1.  The
+    lines are built only at one representative tuple per mode-permutation
+    orbit (see `_orbit`): eta is diagonal and every line is a tensor
+    expression in it, so relabelling the modes of the representative's
+    left-hand side and residual gives the line at any tuple of the orbit.
+    A failed line is re-rendered and re-expanded at its own tuple, so
+    `checked`, the failure order and every text are those of building
+    each tuple.  The owning convention sign is applied by default; passing
+    `sign` overrides it (used to record how a table behaves under the other
+    convention).  The lines and the correction basis share one memo,
+    `gen(kind, mu=0, nu=0)`: kinds "+", "-", "x" give the quadratic
+    generator, "pp", "px", "xp", "xx" the word (gen("px", mu, nu) =
+    p_mu x_nu).  Each is built once per call; the memo and the
+    representatives' lines are local, so nothing is kept between calls.
     """
     if table not in _REGISTRY:
         raise KeyError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
@@ -357,12 +387,16 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
         return build(kind, mu, nu)
 
     solver = None
+    lines = {}  # orbit representative -> its (line, lhs, residual) triples
     for indices in itertools.product(range(metric.dim), repeat=arity):
-        for line, lhs, rhs in builder(alg, gen, *indices):
+        rep, perm = _orbit(indices, metric)
+        if rep not in lines:
+            lines[rep] = [(line, lhs, lhs - rhs) for line, lhs, rhs in builder(alg, gen, *rep)]
+        for line, lhs, residual in lines[rep]:
             report.checked += 1
-            residual = lhs - rhs
             if residual.is_zero():
                 continue
+            lhs, residual = relabel_modes(lhs, perm), relabel_modes(residual, perm)
             if solver is None:
                 labels, polys = correction_basis(alg, gen)
                 solver = ExactSpanSolver(polys)

@@ -334,6 +334,25 @@ def commutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
     return WeylPolynomial(alg, acc)
 
 
+def relabel_modes(poly: WeylPolynomial, perm) -> WeylPolynomial:
+    """The image of poly under x_mu -> x_perm[mu], p_mu -> p_perm[mu].
+
+    perm must permute 0..N-1 without moving a mode across the signature
+    blocks, so eta and the commutation relations are kept and relabelling is
+    an automorphism of the algebra.  Normal order survives: x's commute with
+    x's and p's with p's, so only the exponent tuples are permuted.
+    """
+    alg = poly.algebra
+    n, n_plus = alg.dim, alg.metric.n_plus
+    if sorted(perm) != list(range(n)) or any((mu < n_plus) != (perm[mu] < n_plus) for mu in range(n)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1} within the signature blocks")
+    source = [perm.index(mu) for mu in range(n)]  # mode that lands on each mode
+    return WeylPolynomial(alg, {
+        (b2, tuple(xs[mu] for mu in source), tuple(ps[mu] for mu in source)): c
+        for (b2, xs, ps), c in poly.terms.items()
+    })
+
+
 @dataclass
 class IdentityResult:
     holds: bool

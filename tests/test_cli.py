@@ -319,6 +319,37 @@ def test_expmap_malformed(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("signature", [1], "signature must be [n_plus, n_minus]"),
+    ("signature", [], "signature must be [n_plus, n_minus]"),
+    ("signature", [1, 0, 7], "signature must be [n_plus, n_minus]"),
+    ("signature", "10", "signature must be [n_plus, n_minus]"),
+    ("signature", [0.9, 0.2], "each signature entry must be an integer"),
+    ("signature", [1, "x"], "bad expmap input"),
+    ("dim", 1.5, "dim must be an integer"),
+    ("dim", "1.5", "dim must be an integer"),
+    ("dim", [1], "bad expmap input"),
+])
+def test_expmap_signature_and_dim_must_be_integral(runner, field, value, message):
+    spec = {"dim": 1, "signature": [1, 0], "theta_plus": 0.0, "theta_minus": 0.0,
+            "theta_cross": 0.0, field: value}
+    result = runner.invoke(main, ["expmap"], input=json.dumps(spec))
+    assert result.exit_code == 2, result.output
+    assert "bad expmap input" in result.output and message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("dim,signature", [(1, [1, 0]), (1.0, [1.0, 0.0]), ("1", ["1", "0"]),
+                                           ("2", [1, 1])])
+def test_expmap_accepts_integral_spellings(runner, dim, signature):
+    n = int(float(dim))
+    spec = {"dim": dim, "signature": signature, "theta_plus": [[0.0] * n] * n,
+            "theta_minus": [[0.0] * n] * n, "theta_cross": [[0.0] * n] * n}
+    result = runner.invoke(main, ["expmap"], input=json.dumps(spec))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["signature"] == [int(float(v)) for v in signature]
+
+
 def test_expmap_missing_input_file_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["expmap", "--input", str(tmp_path / "missing.json")])
     assert result.exit_code == 2

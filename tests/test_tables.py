@@ -7,6 +7,7 @@ convention).  Those verdicts, with the engine's corrected forms, are locked
 in here so any registry or engine change that disturbs them is caught.
 """
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -22,7 +23,7 @@ from lctkit.tables import (
     TENSOR_TABLES,
     verify_table,
 )
-from lctkit.weyl import Metric, WeylAlgebra, build_generator, commutator
+from lctkit.weyl import Metric, WeylAlgebra, build_generator, commutator, relabel_modes
 
 TWO_I = GaussianRational(0, 2)
 
@@ -217,3 +218,61 @@ def test_every_report_matches_its_recorded_digest(table):
     assert keys and set(keys) == {k for k in recorded if k.split()[0] == table}
     for name, key in keys.items():
         assert record.table_report_digest(*key) == recorded[name], name
+
+
+# every signature with 1 <= N <= 4
+ALL_METRICS = [Metric(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)]
+
+
+def _covariance_breaks(table, metric, sign):
+    """(indices, line) where the builder's line is not its orbit
+    representative's line relabelled, building every index tuple."""
+    arity, builder = tables._REGISTRY[table]
+    alg = WeylAlgebra(metric, sign)
+
+    @functools.cache
+    def gen(kind, mu=0, nu=0):
+        if len(kind) == 2:
+            return alg.word((kind[0], mu), (kind[1], nu))
+        return build_generator(alg, kind, mu, nu)
+
+    breaks = []
+    for indices in itertools.product(range(metric.dim), repeat=arity):
+        rep, perm = tables._orbit(indices, metric)
+        lines = builder(alg, gen, *indices)
+        for (line, lhs, rhs), (_, rep_lhs, rep_rhs) in zip(lines, builder(alg, gen, *rep), strict=True):
+            if lhs != relabel_modes(rep_lhs, perm) or rhs != relabel_modes(rep_rhs, perm):
+                breaks.append((indices, line))
+    return breaks
+
+
+@pytest.mark.parametrize("table", TENSOR_TABLES)
+def test_every_tensor_line_is_its_orbit_representative_relabelled(table):
+    # the exhaustive check that lets verify_table build one tuple per orbit
+    for metric, sign in itertools.product(ALL_METRICS, (1, -1)):
+        assert _covariance_breaks(table, metric, sign) == [], (metric, sign)
+
+
+def test_covariance_check_catches_a_right_hand_side_that_singles_out_a_mode(monkeypatch):
+    def planted(alg, gen, mu, nu, rho):
+        for line, lhs, rhs in tables._eq69(alg, gen, mu, nu, rho):
+            yield line, lhs, rhs + alg.one() if mu == 1 else rhs
+
+    monkeypatch.setitem(tables._REGISTRY, "Eq69", (3, planted))
+    assert _covariance_breaks("Eq69", Metric(2, 0), -1)
+    assert not _covariance_breaks("Eq69", Metric(1, 0), -1)
+
+
+@pytest.mark.parametrize(
+    "metric,orbits",
+    [(Metric(1, 0), 1), (Metric(1, 1), 16), (Metric(2, 1), 41), (Metric(3, 0), 14), (Metric(4, 0), 15)],
+    ids=str,
+)
+def test_four_index_tuples_fall_into_the_documented_orbits(metric, orbits):
+    tuples = list(itertools.product(range(metric.dim), repeat=4))
+    reps = {tables._orbit(t, metric)[0] for t in tuples}
+    assert len(reps) == orbits
+    for t in tuples:
+        rep, perm = tables._orbit(t, metric)
+        assert tuple(perm[r] for r in rep) == t
+    assert tables._orbit((), Metric(1, 0)) == ((), (0,))

@@ -31,6 +31,7 @@ from lctkit.weyl import (
     generator_basis,
     printed_transform_rows,
     raw_ladder,
+    relabel_modes,
     transform_generators,
     validate_reduction,
     verify_identity,
@@ -386,6 +387,45 @@ def test_commutator_equals_difference_of_full_products(pair):
     a, b = pair
     assert commutator(a, b) == a * b - b * a
     assert commutator(b, a) == b * a - a * b
+
+
+# -- relabelling modes within the signature blocks ----------------------------
+
+
+@st.composite
+def _relabel_case(draw):
+    """A `_poly_pair` and a perm that keeps each signature block."""
+    a, b = draw(_poly_pair())
+    metric = a.algebra.metric
+    perm = draw(st.permutations(range(metric.n_plus)))
+    perm += draw(st.permutations(range(metric.n_plus, metric.dim)))
+    return a, b, tuple(perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabel_case())
+def test_relabelling_is_an_automorphism_inverted_by_the_inverse_perm(case):
+    a, b, perm = case
+    alg = a.algebra
+    inverse = tuple(perm.index(mu) for mu in range(alg.dim))
+
+    def r(poly):
+        return relabel_modes(poly, perm)
+
+    for mu in range(alg.dim):
+        assert r(alg.x(mu)) == alg.x(perm[mu])
+        assert r(alg.p(mu)) == alg.p(perm[mu])
+    assert r(a + b) == r(a) + r(b)
+    assert r(a * b) == r(a) * r(b)
+    assert r(commutator(a, b)) == commutator(r(a), r(b))
+    assert relabel_modes(r(a), inverse) == a
+
+
+@pytest.mark.parametrize("perm", [(1, 0), (0, 0), (0, 2), (0,), (0, 1, 2)])
+def test_relabelling_refuses_a_block_mixing_perm_or_a_non_permutation(perm):
+    alg = WeylAlgebra(Metric(1, 1), -1)
+    with pytest.raises(ValueError, match="signature blocks"):
+        relabel_modes(alg.x(0) * alg.p(1), perm)
 
 
 def test_zero_fast_paths_keep_their_results():
