@@ -13,7 +13,6 @@ from .weyl import (
     closure_and_constants,
     commutator,
     transform_generators,
-    validate_reduction,
     verify_identity,
 )
 

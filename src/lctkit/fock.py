@@ -46,9 +46,6 @@ class TruncatedOperator:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
 
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
-
 
 def _dense(bands: dict, size: int) -> np.ndarray:
     """The leading size x size corner of a banded operator as a dense matrix."""

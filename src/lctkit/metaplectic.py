@@ -26,7 +26,7 @@ checks take a built `UnitaryLCT`, so one set of leading rows serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -288,4 +288,6 @@ def position_convention_unitary(u: UnitaryLCT) -> UnitaryLCT:
     by i^(2(j-k)) = exp(-i pi (j-k)): the band phase moved by pi.  The result
     serves `apply` and `U`; the verify checks use the number-basis U.
     """
-    return replace(u, phase=u.phase + np.pi)
+    shifted = object.__new__(UnitaryLCT)  # u's factors, gated when u was built
+    vars(shifted).update({f.name: getattr(u, f.name) for f in fields(u)}, phase=u.phase + np.pi)
+    return shifted

@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 
 def _make(a: int, b: int, c: int, d: int, q: int) -> "GaussianRational":
     """The element (a + b*s2 + (c + d*s2)*i)/q, q > 0, in lowest terms."""
@@ -25,6 +27,34 @@ def _make(a: int, b: int, c: int, d: int, q: int) -> "GaussianRational":
     z = object.__new__(GaussianRational)
     z._a, z._b, z._c, z._d, z._q = a // g, b // g, c // g, d // g, q // g
     return z
+
+
+def mul_parts(a1, b1, c1, d1, a2, b2, c2, d2):
+    """Numerators (a, b, c, d) of z1 * z2 from those of z1 and z2; over q1 * q2.
+
+    The formula is elementwise, so it serves ints and numpy object columns of
+    ints alike.
+    """
+    # (p1 + r1*s)(p2 + r2*s) with p, r complex rationals and s^2 = 2:
+    # real*real and imag*imag contributions, then the imaginary cross terms
+    return (
+        a1 * a2 + 2 * (b1 * b2) - c1 * c2 - 2 * (d1 * d2),
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def common_numerators(values) -> np.ndarray:
+    """The numerators (a, b, c, d) of `values` over one common denominator.
+
+    Returns a 4 x len(values) object array of Python ints, so arithmetic on
+    its columns stays exact at any size.  A sum of such columns is zero exactly
+    when the sum of the values is.
+    """
+    q = lcm(*(z._q for z in values))
+    rows = [(z._a * (s := q // z._q), z._b * s, z._c * s, z._d * s) for z in values]
+    return np.array(rows, dtype=object).reshape(-1, 4).T
 
 
 def _operand(value):
@@ -119,15 +149,7 @@ class GaussianRational:
         if not (b1 or d1 or b2 or d2):
             # plain Gaussian rationals, the common case
             return _make(a1 * a2 - c1 * c2, 0, a1 * c2 + c1 * a2, 0, self._q * o._q)
-        # (p1 + r1*s)(p2 + r2*s) with p, r complex rationals and s^2 = 2:
-        # real*real and imag*imag contributions, then the imaginary cross terms
-        return _make(
-            a1 * a2 + 2 * (b1 * b2) - c1 * c2 - 2 * (d1 * d2),
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            self._q * o._q,
-        )
+        return _make(*mul_parts(a1, b1, c1, d1, a2, b2, c2, d2), self._q * o._q)
 
     __rmul__ = __mul__
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import GaussianRational, I
@@ -310,7 +310,7 @@ class TableReport:
             "metric": [self.metric.n_plus, self.metric.n_minus],
             "sign": self.sign,
             "checked": self.checked,
-            "failed": [{**asdict(f), "indices": list(f.indices)} for f in self.failed],
+            "failed": [{**vars(f), "indices": list(f.indices)} for f in self.failed],
         }
 
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalars import GaussianRational, I, INV_SQRT2, ONE, ZERO
+import numpy as np
+
+from .scalars import GaussianRational, I, INV_SQRT2, ONE, ZERO, common_numerators, mul_parts
 
 
 class ConventionMismatch(ValueError):
@@ -524,25 +526,50 @@ class StructureConstants:
         return {k: -v for k, v in self.table[(j, i)].items()}
 
     def jacobi_violations(self):
-        """Exact Jacobi check over all basis triples i < j < k."""
+        """Exact Jacobi check over all basis triples i < j < k, as one contraction.
+
+        Every entry (a, b) -> m of the table, with the mirror (b, a) read as
+        `bracket(b, a)` reads it, is paired with every entry (m, c) -> l.  The
+        pair is one product C[a,b]_m C[m,c]_l of the triple sorted(a, b, c)
+        when (a, b, c) is one of its cyclic orders (i,j,k), (j,k,i), (k,i,j);
+        the products are summed per (triple, l) and a triple is reported when
+        any sum is not zero.  The constants enter as integer numerators over
+        one common denominator, held as Python ints, so every sum is exact.
+        """
         d = self.dimension
         # bracket() for both orders of every pair, built once for this call
         lookup = {(j, i): {k: -v for k, v in row.items()} for (i, j), row in self.table.items()}
         lookup.update(self.table)
-        bad = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    acc: dict = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, cm in lookup[(a, b)].items():
-                            if m == c:
-                                continue
-                            for l, cl in lookup[(m, c)].items():
-                                acc[l] = acc.get(l, ZERO) + cm * cl
-                    if any(not v.is_zero() for v in acc.values()):
-                        bad.append((i, j, k))
-        return bad
+        entries = [(a, b, m) for (a, b), row in lookup.items() if a != b for m in row]
+        nums = common_numerators([lookup[(a, b)][m] for a, b, m in entries])
+        a, b, m = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        # entry e meets the entries f = (m_e, c) -> l: one run of the entries
+        # sorted by their first index, which starts at start[m_e]
+        by_first = np.argsort(a, kind="stable")
+        count = np.bincount(a, minlength=d)
+        fan = count[m]
+        e = np.repeat(np.arange(len(entries)), fan)
+        start = np.cumsum(count) - count
+        f = by_first[np.repeat(start[m] - (np.cumsum(fan) - fan), fan) + np.arange(len(e))]
+        # (a < b) + (b < c) + (c < a) is 2 for a cyclic order of distinct a, b, c
+        # and 1 for an anticyclic one or for c in {a, b}
+        a, b, c, l = a[e], b[e], b[f], m[f]
+        keep = (a < b).astype(np.int64) + (b < c) + (c < a) == 2
+        a, b, c, l, e, f = a[keep], b[keep], c[keep], l[keep], e[keep], f[keep]
+        # one key per (sorted triple, l); d**4 fits int64 for any d < 55000
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        key = ((lo * d + (a + b + c - lo - hi)) * d + hi) * d + l
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        products = mul_parts(*nums[:, e[order]], *nums[:, f[order]])
+        nonzero = np.zeros(len(starts), dtype=bool)
+        for column in products:
+            nonzero |= np.add.reduceat(column, starts) != 0
+        codes = key[starts[nonzero]] // d  # ascending; np.unique would import numpy.ma
+        triples = codes[np.diff(codes, prepend=-1) != 0]
+        i, j, k = triples // (d * d), triples // d % d, triples % d
+        return list(zip(i.tolist(), j.tolist(), k.tolist()))
 
 
 def closure_and_constants(metric: Metric, sign: int = -1) -> StructureConstants:
@@ -709,102 +736,3 @@ def verify_transform_law(S) -> dict:
             "holds": printed[kind] == engine[kind],
         }
     return rows
-
-
-# -- reduction constraints -------------------------------------------------
-
-
-@dataclass
-class ReductionReport:
-    ok: bool
-    violations: list
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_reduction(B_tensor, a, b, metric: Metric) -> ReductionReport:
-    """Exact check of the reduction constraints linking B, a and b.
-
-    Verified constraints: B a = (1/2) * (eta b)  entrywise, and a b = (1/2) I.
-    The printed chain additionally equates (1/2)(eta b) with (eta b) itself;
-    that literal middle link is evaluated and reported (it can only hold where
-    eta b vanishes), but it does not enter the verdict.
-    """
-    n = metric.dim
-    B_tensor = _frac_matrix(B_tensor)
-    a = _frac_matrix(a)
-    b = _frac_matrix(b)
-    eta = metric.diag()
-    violations = []
-    ba = [[sum(B_tensor[m][k] * a[k][nu] for k in range(n)) for nu in range(n)] for m in range(n)]
-    b_low = [[Fraction(eta[m]) * b[m][nu] for nu in range(n)] for m in range(n)]
-    ok = True
-    for m in range(n):
-        for nu in range(n):
-            if ba[m][nu] != Fraction(1, 2) * b_low[m][nu]:
-                ok = False
-                violations.append(
-                    {"constraint": "B.a = b_lowered/2", "entry": (m, nu),
-                     "lhs": str(ba[m][nu]), "rhs": str(Fraction(1, 2) * b_low[m][nu])}
-                )
-            if Fraction(1, 2) * b_low[m][nu] != b_low[m][nu]:
-                violations.append(
-                    {"constraint": "literal chain: b_lowered/2 = b_lowered", "entry": (m, nu),
-                     "lhs": str(Fraction(1, 2) * b_low[m][nu]), "rhs": str(b_low[m][nu])}
-                )
-    ab = [[sum(a[m][k] * b[k][nu] for k in range(n)) for nu in range(n)] for m in range(n)]
-    for m in range(n):
-        for nu in range(n):
-            want = Fraction(1, 2) if m == nu else Fraction(0)
-            if ab[m][nu] != want:
-                ok = False
-                violations.append(
-                    {"constraint": "a.b = I/2", "entry": (m, nu),
-                     "lhs": str(ab[m][nu]), "rhs": str(want)}
-                )
-    return ReductionReport(ok, violations)
-
-
-# -- first-order action of the tensor angles --------------------------------
-
-
-def first_order_action(metric: Metric, theta_plus, theta_minus, theta_cross):
-    """Exact first-order mixing blocks induced by conjugation, sign=-1 algebra.
-
-    Returns (A, B, C, D) with p'_mu = p_mu + A[mu][nu] p_nu + B[mu][nu] x_nu and
-    x'_mu = x_mu + C[mu][nu] p_nu + D[mu][nu] x_nu, computed from commutators of
-    the full tensor-angle combination.  All matrices are exact rationals.
-    """
-    n = metric.dim
-    alg = WeylAlgebra(metric, -1)
-    tp = _frac_matrix(theta_plus)
-    tm = _frac_matrix(theta_minus)
-    tx = _frac_matrix(theta_cross)
-    gen = alg.zero()
-    for r in range(n):
-        for l in range(n):
-            if tp[r][l]:
-                gen = gen + build_generator(alg, "+", r, l) * tp[r][l]
-            if tm[r][l]:
-                gen = gen + build_generator(alg, "-", r, l) * tm[r][l]
-            if tx[r][l]:
-                gen = gen + build_generator(alg, "x", r, l) * tx[r][l]
-    A = [[Fraction(0)] * n for _ in range(n)]
-    Bm = [[Fraction(0)] * n for _ in range(n)]
-    C = [[Fraction(0)] * n for _ in range(n)]
-    D = [[Fraction(0)] * n for _ in range(n)]
-    basis = [alg.p(k) for k in range(n)] + [alg.x(k) for k in range(n)]
-    solver = ExactSpanSolver(basis)
-    for mu in range(n):
-        for target, row_p, row_x in ((alg.p(mu), A, Bm), (alg.x(mu), C, D)):
-            delta = commutator(gen, target) * I
-            coeffs = solver.solve(delta)
-            if coeffs is None:
-                raise SpanFailure("first-order action is not linear in x, p")
-            for k in range(n):
-                if not (coeffs[k].is_rational() and coeffs[n + k].is_rational()):
-                    raise SpanFailure("first-order action has non-rational coefficients")
-                row_p[mu][k] = coeffs[k].as_fraction()
-                row_x[mu][k] = coeffs[n + k].as_fraction()
-    return A, Bm, C, D

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lctkit.fock import CutoffTooSmall, _dense, dispersion_matrices
 from lctkit.metaplectic import (
     NonPositiveDispersion,
+    UnitaryLCT,
     build_unitary,
     conjugate,
     generator_bands,
@@ -259,6 +260,21 @@ def test_position_convention_bridge_matches_the_dense_phase_conjugation():
             want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
             got = position_convention_unitary(u).U.matrix
             assert np.max(np.abs(got - want)) <= 1e-12, (cutoff, angles)
+
+
+def test_position_convention_runs_the_factor_gate_once_and_applies_d_u_d_dagger(monkeypatch):
+    gate, gated = UnitaryLCT.__post_init__, []
+    monkeypatch.setattr(UnitaryLCT, "__post_init__", lambda self: gated.append(gate(self)))
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 64)
+    u.check_rows  # a cached view of u must not leak into the bridged unitary
+    bridged = position_convention_unitary(u)
+    assert len(gated) == 1
+    phases = 1j ** np.arange(64)
+    want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
+    re, im = np.random.default_rng(5).normal(size=(2, 64))
+    v = re + 1j * im
+    assert np.max(np.abs(bridged.apply(v) - want @ v)) <= 1e-12
+    assert np.array_equal(bridged.check_rows[0], bridged.leading_rows(16)[0])
 
 
 def test_position_convention_apply_at_the_largest_cutoff_forms_no_dense_unitary():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from lctkit.weyl import (
     Metric,
     NotSymplectic,
     SpanFailure,
+    StructureConstants,
     WeylAlgebra,
     build_generator,
     build_ladder,
@@ -27,13 +29,11 @@ from lctkit.weyl import (
     commutator,
     dispersion_generators,
     engine_transform_rows,
-    first_order_action,
     generator_basis,
     printed_transform_rows,
     raw_ladder,
     relabel_modes,
     transform_generators,
-    validate_reduction,
     verify_identity,
     verify_transform_law,
 )
@@ -503,6 +503,11 @@ def test_jacobi_exact_small_dims():
     for n in (1, 2):
         assert not closure_and_constants(Metric(n, 0)).jacobi_violations()
     assert not closure_and_constants(Metric(1, 1)).jacobi_violations()
+    # N = 1 at both conventions: one triple, d = 3
+    for sign in (+1, -1):
+        for sig in ((1, 0), (0, 1)):
+            sc = closure_and_constants(Metric(*sig), sign)
+            assert sc.jacobi_violations() == _jacobi_reference(sc) == []
 
 
 def _jacobi_reference(sc):
@@ -550,6 +555,92 @@ def test_jacobi_reads_a_planted_asymmetric_mirror():
     # Jacobi reads the stored mirror as bracket(j, i) does
     assert sc.jacobi_violations() == _jacobi_reference(sc)
     assert sc.jacobi_violations()
+
+
+@functools.lru_cache(maxsize=None)
+def _closure(n_plus, n_minus, sign=-1):
+    return closure_and_constants(Metric(n_plus, n_minus), sign)
+
+
+def _copy(sc, table=None):
+    return StructureConstants(sc.metric, sc.sign, sc.labels, dict(sc.table if table is None else table))
+
+
+# numerators past 2**63, so no fixed-width integer path could hold them
+_huge = st.integers(-(2 ** 70), 2 ** 70)
+_wide = st.builds(Fraction, _huge, st.integers(1, 2 ** 66))
+_field_value = st.builds(GaussianRational, _wide, _wide, _wide, _wide)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sig=st.sampled_from([(1, 0), (2, 0), (1, 1), (3, 0), (2, 1)]),
+    sign=st.sampled_from([+1, -1]),
+    pick=st.integers(0, 10 ** 6),
+    delta=_field_value,
+    mirror=st.one_of(st.none(), _field_value),
+)
+def test_jacobi_contraction_matches_the_loop_reference(sig, sign, pick, delta, mirror):
+    sc = _copy(_closure(*sig, sign))
+    pairs = _nonzero_pairs(sc)
+    pair = pairs[pick % len(pairs)]
+    row = dict(sc.table[pair])
+    k = sorted(row)[pick % len(row)]
+    row[k] = row[k] + delta
+    sc.table[pair] = row
+    if mirror is not None:
+        # an explicit mirror of another pair, one constant off its negation
+        i, j = pairs[(pick // 7) % len(pairs)]
+        planted = {m: -v for m, v in sc.bracket(i, j).items()}
+        m = sorted(planted)[pick % len(planted)]
+        planted[m] = planted[m] + mirror
+        sc.table[(j, i)] = planted
+    assert sc.jacobi_violations() == _jacobi_reference(sc)
+
+
+def _rescaled(sc, scales):
+    """Constants after e_k -> scales[k] e_k: C[a,b]_m scaled by s_a s_b / s_m."""
+    s = [scales.get(k, ONE) for k in range(sc.dimension)]
+    return _copy(sc, {(a, b): {m: c * s[a] * s[b] / s[m] for m, c in row.items()}
+                      for (a, b), row in sc.table.items()})
+
+
+def test_jacobi_cancellation_is_exact_and_a_tiny_perturbation_is_reported():
+    sc = _closure(2, 0)
+    # rescaling two basis elements moves many constants, and every Jacobi sum
+    # still cancels exactly
+    scaled = _rescaled(sc, {
+        2: GaussianRational(Fraction(2 ** 64 + 1, 3), Fraction(-1, 7)),
+        5: GaussianRational(1, 0, Fraction(1, 2 ** 62)),
+    })
+    assert scaled.table != sc.table
+    assert scaled.jacobi_violations() == _jacobi_reference(scaled) == []
+    # a change far below float resolution relative to the constants is not lost
+    pair = _nonzero_pairs(scaled)[0]
+    row = dict(scaled.table[pair])
+    k = next(iter(row))
+    row[k] = row[k] + GaussianRational(Fraction(1, 3 * 2 ** 60))
+    scaled.table[pair] = row
+    bad = scaled.jacobi_violations()
+    assert bad and bad == _jacobi_reference(scaled)
+
+
+def test_jacobi_on_an_all_empty_table_reports_nothing():
+    sc = _closure(2, 0)
+    empty = _copy(sc, {pair: {} for pair in sc.table})
+    assert empty.jacobi_violations() == _jacobi_reference(empty) == []
+
+
+@pytest.mark.parametrize("signature", [(4, 0), (2, 1)])
+def test_jacobi_holds_at_the_largest_signatures_and_reports_plain_ints(signature):
+    sc = _closure(*signature)
+    assert sc.jacobi_violations() == []
+    pair = _nonzero_pairs(sc)[-1]
+    perturbed = _copy(sc, {**sc.table, pair: {m: v + ONE for m, v in sc.table[pair].items()}})
+    bad = perturbed.jacobi_violations()
+    assert bad and isinstance(bad, list) and bad == _jacobi_reference(perturbed)
+    assert all(type(t) is tuple and len(t) == 3 and all(type(x) is int for x in t) for t in bad)
+    assert bad == sorted(bad) and all(i < j < k for i, j, k in bad)
 
 
 # -- symplectic substitution --------------------------------------------------
@@ -701,6 +792,62 @@ def test_transform_multidim_stays_in_span():
 # -- reduction constraints ----------------------------------------------------
 
 
+def _fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@dataclass
+class ReductionReport:
+    ok: bool
+    violations: list
+
+    def __bool__(self):
+        return self.ok
+
+
+def validate_reduction(B_tensor, a, b, metric: Metric) -> ReductionReport:
+    """Exact check of the reduction constraints linking B, a and b.
+
+    Verified constraints: B a = (1/2) * (eta b)  entrywise, and a b = (1/2) I.
+    The printed chain additionally equates (1/2)(eta b) with (eta b) itself;
+    that literal middle link is evaluated and reported (it can only hold where
+    eta b vanishes), but it does not enter the verdict.
+    """
+    n = metric.dim
+    B_tensor = _fractions(B_tensor)
+    a = _fractions(a)
+    b = _fractions(b)
+    eta = metric.diag()
+    violations = []
+    ba = [[sum(B_tensor[m][k] * a[k][nu] for k in range(n)) for nu in range(n)] for m in range(n)]
+    b_low = [[Fraction(eta[m]) * b[m][nu] for nu in range(n)] for m in range(n)]
+    ok = True
+    for m in range(n):
+        for nu in range(n):
+            if ba[m][nu] != Fraction(1, 2) * b_low[m][nu]:
+                ok = False
+                violations.append(
+                    {"constraint": "B.a = b_lowered/2", "entry": (m, nu),
+                     "lhs": str(ba[m][nu]), "rhs": str(Fraction(1, 2) * b_low[m][nu])}
+                )
+            if Fraction(1, 2) * b_low[m][nu] != b_low[m][nu]:
+                violations.append(
+                    {"constraint": "literal chain: b_lowered/2 = b_lowered", "entry": (m, nu),
+                     "lhs": str(Fraction(1, 2) * b_low[m][nu]), "rhs": str(b_low[m][nu])}
+                )
+    ab = [[sum(a[m][k] * b[k][nu] for k in range(n)) for nu in range(n)] for m in range(n)]
+    for m in range(n):
+        for nu in range(n):
+            want = Fraction(1, 2) if m == nu else Fraction(0)
+            if ab[m][nu] != want:
+                ok = False
+                violations.append(
+                    {"constraint": "a.b = I/2", "entry": (m, nu),
+                     "lhs": str(ab[m][nu]), "rhs": str(want)}
+                )
+    return ReductionReport(ok, violations)
+
+
 def test_reduction_scalar_example():
     rep = validate_reduction([[Fraction(1, 4)]], [[1]], [[Fraction(1, 2)]], EUCLIDEAN_1D)
     assert rep
@@ -731,6 +878,47 @@ def test_reduction_indefinite_metric():
 
 
 # -- first-order tensor action ------------------------------------------------
+
+
+def first_order_action(metric: Metric, theta_plus, theta_minus, theta_cross):
+    """Exact first-order mixing blocks induced by conjugation, sign=-1 algebra.
+
+    Returns (A, B, C, D) with p'_mu = p_mu + A[mu][nu] p_nu + B[mu][nu] x_nu and
+    x'_mu = x_mu + C[mu][nu] p_nu + D[mu][nu] x_nu, computed from commutators of
+    the full tensor-angle combination.  All matrices are exact rationals.
+    """
+    n = metric.dim
+    alg = WeylAlgebra(metric, -1)
+    tp = _fractions(theta_plus)
+    tm = _fractions(theta_minus)
+    tx = _fractions(theta_cross)
+    gen = alg.zero()
+    for r in range(n):
+        for l in range(n):
+            if tp[r][l]:
+                gen = gen + build_generator(alg, "+", r, l) * tp[r][l]
+            if tm[r][l]:
+                gen = gen + build_generator(alg, "-", r, l) * tm[r][l]
+            if tx[r][l]:
+                gen = gen + build_generator(alg, "x", r, l) * tx[r][l]
+    A = [[Fraction(0)] * n for _ in range(n)]
+    Bm = [[Fraction(0)] * n for _ in range(n)]
+    C = [[Fraction(0)] * n for _ in range(n)]
+    D = [[Fraction(0)] * n for _ in range(n)]
+    basis = [alg.p(k) for k in range(n)] + [alg.x(k) for k in range(n)]
+    solver = ExactSpanSolver(basis)
+    for mu in range(n):
+        for target, row_p, row_x in ((alg.p(mu), A, Bm), (alg.x(mu), C, D)):
+            delta = commutator(gen, target) * I
+            coeffs = solver.solve(delta)
+            if coeffs is None:
+                raise SpanFailure("first-order action is not linear in x, p")
+            for k in range(n):
+                if not (coeffs[k].is_rational() and coeffs[n + k].is_rational()):
+                    raise SpanFailure("first-order action has non-rational coefficients")
+                row_p[mu][k] = coeffs[k].as_fraction()
+                row_x[mu][k] = coeffs[n + k].as_fraction()
+    return A, Bm, C, D
 
 
 def _eta(metric):
