@@ -53,6 +53,12 @@ CASES = {
                        "--angles=0.2,-0.1,0.3"],
     # the largest orbit reduction: 256 index tuples, 15 orbits
     "verify-all-4-0": ["verify", "--all", "--signature", "4,0", "--cutoff", "32"],
+    # the exact-sweep signatures without another case: at (2,1) block-keeping
+    # perms and mirrored label pairs shape most orbits
+    "verify-all-2-1": ["verify", "--all", "--signature", "2,1", "--cutoff", "64",
+                       "--angles", "0.25,-0.15,0.2"],
+    "verify-all-3-0": ["verify", "--all", "--signature", "3,0", "--cutoff", "64",
+                       "--angles", "-0.3,0.2,0.1"],
     "verify-homomorphism": ["verify", "--homomorphism", "--angles", "0.3,-0.2,0.25",
                             "--cutoff", "64"],
     "verify-basis-law": ["verify", "--basis-law", "--angles", "0.4,0,0", "--cutoff", "64"],
