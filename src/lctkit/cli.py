@@ -241,15 +241,15 @@ def transform(ctx, input_path, spec_path):
             click.echo(sidecar, err=True, nl=False)
 
 
-def _table_check(name: str, metric) -> dict:
-    report = tables.verify_table(name, metric=metric)
+def _table_check(name: str, metric, context) -> dict:
+    report = tables.verify_table(name, metric=metric, context=context)
     status = "pass" if report.ok() else "warn"
     return {"name": name, "status": status, "report": report.to_json()}
 
 
-def _closure_check(metric: weyl.Metric) -> dict:
+def _closure_check(metric: weyl.Metric, context) -> dict:
     try:
-        sc = weyl.closure_and_constants(metric)
+        sc = weyl.closure_and_constants(metric, context=context)
         expected = metric.dim * (2 * metric.dim + 1)
         jacobi_exact = not sc.jacobi_violations()
         ok = sc.dimension == expected and jacobi_exact
@@ -342,14 +342,17 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     checks = []
     try:
         metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
+        # one exact context per (metric, sign): tensor tables and closure, 1-D tables
+        tensor, one_dim = weyl.ExactContext(metric, -1), weyl.ExactContext(weyl.EUCLIDEAN_1D, +1)
         for name in tables.TABLE_IDS if run_all else table_names:
             if name not in tables.TABLE_IDS:
                 raise click.UsageError(
                     f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
                 )
-            checks.append(_table_check(name, metric))
+            context = tensor if name in tables.TENSOR_TABLES else one_dim
+            checks.append(_table_check(name, metric, context))
         if run_all:
-            checks.append(_closure_check(metric))
+            checks.append(_closure_check(metric, tensor))
         u = metaplectic.build_unitary(theta, 1.0, cutoff) if homomorphism or basis_law else None
         if homomorphism:
             checks.append(_homomorphism_check(u, tol))

@@ -17,11 +17,12 @@ costs one real eigendecomposition of half the cutoff.  `UnitaryLCT` keeps those
 factors and acts with them (`apply`); only its dense view `U` forms U itself.
 
 Truncation contaminates the top of the tower, so all residuals are measured
-on the leading cutoff/4 block, which stays clean for |angles| <= 1.  They are
-formed on that block from the leading rows of each parity block, as
-U[:b, :] A U[:b, :]+ with A summed from its bands ({offset: diagonal}, see
-`fock`) one parity pair at a time; only the b x b reference is dense.  Both
-checks take a built `UnitaryLCT`, so one set of leading rows serves both.
+on the leading cutoff/4 block.  Over the corners of |angles| <= 0.5 the worst
+is 7.1e-6 at cutoff 32, 5.7e-10 at 64 and 6.2e-11 at 1024, so tol 1e-6 holds
+from cutoff 64 on.  They are formed from the leading rows of each parity
+block, as U[:b, :] A U[:b, :]+ with A summed from its bands ({offset:
+diagonal}, see `fock`) one parity pair at a time; only the b x b reference is
+dense.  Both checks take a built `UnitaryLCT` and share its leading rows.
 """
 
 from __future__ import annotations

@@ -8,18 +8,17 @@ p, the generators and 1).  A table is registered with its arity and a
 builder that yields its printed lines at one index tuple: arity 0 is a
 one-dimensional table (sign=+1 convention), arity 2, 3 or 4 a tensor table
 (sign=-1 convention).  `verify_table` runs the index loop over all tuples,
-applies the owning convention and passes the builders its polynomial memo.
+applies the owning convention and passes the builders its `weyl.ExactContext`.
 
 The index tuples fall into orbits under the permutations of modes that keep
 each signature block, and every tensor-table line is covariant under them
 (eta is diagonal).  So a builder runs only at each orbit's representative
-tuple; every other tuple of the orbit replays the representative's lines
-with `weyl.relabel_modes`.
+tuple, and each failed line is expanded only there; every other tuple of the
+orbit replays them with `weyl.relabel_modes` and relabelled expansion labels.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,15 +26,12 @@ from fractions import Fraction
 from .scalars import GaussianRational, I
 from .weyl import (
     EUCLIDEAN_1D,
-    ExactSpanSolver,
+    ExactContext,
     Metric,
-    WeylAlgebra,
-    build_generator,
+    build_generator,  # noqa: F401  (generators are built through weyl; patch points stay)
     build_ladder,
     commutator,
     dispersion_generators,
-    generator_labels,
-    label_text,
     raw_ladder,
     relabel_modes,
 )
@@ -219,9 +215,9 @@ def _eq74(alg, gen, mu, nu, rho, lam):
         + (gen("x", nu, lam) - gen("x", lam, nu)) * eta(mu, rho)
     )
     rhs = antis * EIGHTH_I
-    yield 1, commutator(gen("+", mu, nu), gen("+", rho, lam)), rhs
-    yield 2, commutator(gen("-", mu, nu), gen("-", rho, lam)), -rhs
-    yield 3, commutator(gen("x", mu, nu), gen("x", rho, lam)), (
+    yield 1, gen.bracket(("+", mu, nu), ("+", rho, lam)), rhs
+    yield 2, gen.bracket(("-", mu, nu), ("-", rho, lam)), -rhs
+    yield 3, gen.bracket(("x", mu, nu), ("x", rho, lam)), (
         (gen("x", rho, lam) * eta(nu, mu) - gen("x", mu, nu) * eta(rho, lam)) * HALF_I
     )
 
@@ -234,14 +230,14 @@ def _eq75(alg, gen, mu, nu, rho, lam):
         + (gen("x", nu, rho) + gen("x", rho, nu)) * eta(mu, lam)
         + (gen("x", nu, lam) + gen("x", lam, nu)) * eta(mu, rho)
     )
-    yield 1, commutator(gen("+", mu, nu), gen("-", rho, lam)), sym_cross * EIGHTH_I
-    yield 2, commutator(gen("-", mu, nu), gen("x", rho, lam)), (
+    yield 1, gen.bracket(("+", mu, nu), ("-", rho, lam)), sym_cross * EIGHTH_I
+    yield 2, gen.bracket(("-", mu, nu), ("x", rho, lam)), (
         (gen("+", mu, rho) + gen("-", rho, mu)) * eta(lam, nu)
         + (gen("+", rho, nu) + gen("-", nu, rho)) * eta(lam, mu)
         + (gen("+", mu, lam) - gen("-", lam, mu)) * eta(rho, nu)
         + (gen("+", lam, nu) - gen("-", nu, lam)) * eta(rho, mu)
     ) * QUARTER_I
-    yield 3, commutator(gen("x", mu, nu), gen("+", rho, lam)), -(
+    yield 3, gen.bracket(("x", mu, nu), ("+", rho, lam)), -(
         (
             (gen("+", mu, rho) + gen("-", rho, mu)) * eta(nu, lam)
             + (gen("+", mu, lam) + gen("-", lam, mu)) * eta(nu, rho)
@@ -314,55 +310,19 @@ class TableReport:
         }
 
 
-def correction_basis(alg: WeylAlgebra, gen):
-    """Labels and polynomials of x, p, the generators, then 1.
-
-    `gen(kind, mu, nu)` returns the quadratic generator.  Every table
-    left-hand side has homogeneous parity, so a degree <= 1 form expands over
-    x, p and 1 alone and a quadratic one over the generators and 1.
-    """
-    n = alg.dim
-    gen_labels = generator_labels(n)
-    labels = [f"x{mu}" for mu in range(n)] + [f"p{mu}" for mu in range(n)]
-    labels += [label_text(l) for l in gen_labels] + ["1"]
-    polys = [alg.x(mu) for mu in range(n)] + [alg.p(mu) for mu in range(n)]
-    return labels, polys + [gen(*l) for l in gen_labels] + [alg.one()]
-
-
-def _orbit(indices: tuple, metric: Metric):
-    """The representative of the index tuple's orbit and the perm back to it.
-
-    Modes are relabelled in order of first appearance: the first new index in
-    each signature block takes the next free mode of that block.  perm[r] is
-    the mode that mode r of the representative stands for (the modes the
-    tuple leaves unused fill the rest of each block in order), so
-    relabel_modes of a line at the representative is the line at `indices`.
-    """
-    seen = list(dict.fromkeys(indices))
-    perm = []
-    for block in (range(metric.n_plus), range(metric.n_plus, metric.dim)):
-        perm += [mu for mu in seen if mu in block] + [mu for mu in block if mu not in seen]
-    return tuple(perm.index(mu) for mu in indices), tuple(perm)
-
-
-def verify_table(table: str, metric: Metric | None = None, sign: int | None = None) -> TableReport:
+def verify_table(table: str, metric: Metric | None = None, sign: int | None = None,
+                 context: ExactContext | None = None) -> TableReport:
     """Check every printed line of a table at every index tuple.
 
     A table of arity k is checked at every k-tuple over 0..N-1, in
-    `itertools.product` order; arity 0 is the empty tuple at N = 1.  The
-    lines are built only at one representative tuple per mode-permutation
-    orbit (see `_orbit`): eta is diagonal and every line is a tensor
-    expression in it, so relabelling the modes of the representative's
-    left-hand side and residual gives the line at any tuple of the orbit.
-    A failed line is re-rendered and re-expanded at its own tuple, so
-    `checked`, the failure order and every text are those of building
-    each tuple.  The owning convention sign is applied by default; passing
-    `sign` overrides it (used to record how a table behaves under the other
-    convention).  The lines and the correction basis share one memo,
-    `gen(kind, mu=0, nu=0)`: kinds "+", "-", "x" give the quadratic
-    generator, "pp", "px", "xp", "xx" the word (gen("px", mu, nu) =
-    p_mu x_nu).  Each is built once per call; the memo and the
-    representatives' lines are local, so nothing is kept between calls.
+    `itertools.product` order; arity 0 is the empty tuple at N = 1.  Lines
+    are built, and a failed line expanded over the correction basis, only at
+    each mode-permutation orbit's representative (`weyl.mode_orbit`): every
+    line is a tensor expression in the diagonal eta, so the other tuples
+    relabel the representative's polynomials and expansion labels, and render
+    their texts at their own indices.  The owning convention sign applies
+    unless `sign` overrides it.  Builders get `context`, an ExactContext for
+    this metric and sign, as `gen`; without one the call builds its own.
     """
     if table not in _REGISTRY:
         raise KeyError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
@@ -374,36 +334,28 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     if metric.dim > 4:
         raise ValueError("tables are verified for N <= 4")
     use_sign = (-1 if arity else +1) if sign is None else sign
-    alg = WeylAlgebra(metric, use_sign)
+    ctx = context or ExactContext(metric, use_sign)
     report = TableReport(table, metric, use_sign)
-
-    @functools.cache
-    def build(kind, mu, nu):
-        if len(kind) == 2:
-            return alg.word((kind[0], mu), (kind[1], nu))
-        return build_generator(alg, kind, mu, nu)
-
-    def gen(kind, mu=0, nu=0):  # gen("+") and gen("+", 0, 0) share one entry
-        return build(kind, mu, nu)
-
-    solver = None
     lines = {}  # orbit representative -> its (line, lhs, residual) triples
+    expansions = {}  # (representative, line) -> {basis index: coefficient text}, or None
     for indices in itertools.product(range(metric.dim), repeat=arity):
-        rep, perm = _orbit(indices, metric)
+        rep, perm = ctx.orbit(indices)
         if rep not in lines:
-            lines[rep] = [(line, lhs, lhs - rhs) for line, lhs, rhs in builder(alg, gen, *rep)]
+            lines[rep] = [(line, lhs, lhs - rhs) for line, lhs, rhs in builder(ctx.alg, ctx, *rep)]
         for line, lhs, residual in lines[rep]:
             report.checked += 1
             if residual.is_zero():
                 continue
-            lhs, residual = relabel_modes(lhs, perm), relabel_modes(residual, perm)
-            if solver is None:
-                labels, polys = correction_basis(alg, gen)
-                solver = ExactSpanSolver(polys)
-            coeffs = solver.solve(lhs)
-            expansion = None if coeffs is None else {
-                lab: c.text() for lab, c in zip(labels, coeffs) if not c.is_zero()
+            if (rep, line) not in expansions:
+                coeffs = ctx.solver.solve(lhs)
+                expansions[(rep, line)] = None if coeffs is None else {
+                    k: c.text() for k, c in enumerate(coeffs) if not c.is_zero()
+                }
+            found, moved = expansions[(rep, line)], ctx.image(perm)
+            expansion = None if found is None else {
+                ctx.basis_labels[m]: text for m, text in sorted((moved[k], t) for k, t in found.items())
             }
-            corrected = {"normal_form": lhs.text(), "expansion": expansion}
-            report.failed.append(FailedIdentity(line, indices, residual.text(), corrected))
+            corrected = {"normal_form": relabel_modes(lhs, perm).text(), "expansion": expansion}
+            residual_text = relabel_modes(residual, perm).text()
+            report.failed.append(FailedIdentity(line, indices, residual_text, corrected))
     return report

@@ -13,11 +13,13 @@ constructor parameter of the algebra rather than a global.
 
 Polynomials are stored in canonical normal order (all x factors left of all
 p factors, indices ascending) with coefficients in Q(i, sqrt2), plus integer
-half-powers of a central dispersion scale B.  All arithmetic is exact.
+half-powers of a central dispersion scale B.  All arithmetic is exact; one
+`ExactContext` per (metric, sign) builds each generator, bracket and solver once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,6 +357,22 @@ def relabel_modes(poly: WeylPolynomial, perm) -> WeylPolynomial:
     })
 
 
+def mode_orbit(indices: tuple, metric: Metric):
+    """The representative of the index tuple's orbit and the perm back to it.
+
+    Modes are relabelled in order of first appearance: the first new index in
+    each signature block takes the next free mode of that block.  perm[r] is
+    the mode that mode r of the representative stands for (unused modes fill
+    the rest of each block in order), so relabel_modes by perm takes an
+    expression at the representative to the one at `indices`.
+    """
+    seen = list(dict.fromkeys(indices))
+    perm = []
+    for block in (range(metric.n_plus), range(metric.n_plus, metric.dim)):
+        perm += [mu for mu in seen if mu in block] + [mu for mu in block if mu not in seen]
+    return tuple(perm.index(mu) for mu in indices), tuple(perm)
+
+
 @dataclass
 class IdentityResult:
     holds: bool
@@ -505,6 +523,64 @@ def label_text(label) -> str:
     return f"b{kind}[{mu},{nu}]"
 
 
+def canonical_label(kind: str, mu: int = 0, nu: int = 0) -> tuple:
+    """The key of a generator or word: "+" and "-" are symmetric in mu, nu
+    (`build_generator`), so theirs is put back in mu <= nu order."""
+    return (kind, min(mu, nu), max(mu, nu)) if kind in ("+", "-") else (kind, mu, nu)
+
+
+class ExactContext:
+    """The exact objects of one (metric, sign), each built once per owner.
+
+    Calling it is the polynomial memo: kinds "+", "-", "x" give the quadratic
+    generator, "pp", "px", "xp", "xx" the word (ctx("px", mu, nu) = p_mu x_nu).
+    `bracket` memoises generator commutators and `orbit` mode orbits.
+    `solver` spans the correction basis `basis_labels` (x, p, the generators,
+    then 1: a table left-hand side has one parity, so it expands over x, p
+    and 1 or over the generators and 1), and `image` relabels its indices.
+    """
+
+    def __init__(self, metric: Metric, sign: int):
+        self.alg = WeylAlgebra(metric, sign)
+        self.labels = generator_labels(metric.dim)
+        coordinates = [f"{q}{mu}" for q in "xp" for mu in range(metric.dim)]
+        self.basis_labels = coordinates + [label_text(label) for label in self.labels] + ["1"]
+        # memos that live as long as this context
+        self.orbit = functools.cache(lambda indices: mode_orbit(indices, metric))
+        self.image = functools.cache(functools.partial(self._image, self.labels))
+        self._polys, self._brackets = {}, {}
+
+    def __call__(self, kind: str, mu: int = 0, nu: int = 0) -> WeylPolynomial:
+        key = canonical_label(kind, mu, nu)
+        if key not in self._polys:
+            alg = self.alg
+            self._polys[key] = (alg.word((kind[0], mu), (kind[1], nu)) if len(kind) == 2
+                                else build_generator(alg, *key))
+        return self._polys[key]
+
+    def bracket(self, a: tuple, b: tuple) -> WeylPolynomial:
+        """[ctx(*a), ctx(*b)]; the mirror of a memoised pair is its negation."""
+        a, b = canonical_label(*a), canonical_label(*b)
+        if (b, a) in self._brackets:
+            return -self._brackets[(b, a)]
+        if (a, b) not in self._brackets:
+            self._brackets[(a, b)] = commutator(self(*a), self(*b))
+        return self._brackets[(a, b)]
+
+    @functools.cached_property
+    def solver(self) -> "ExactSpanSolver":
+        alg, n = self.alg, range(self.alg.dim)
+        gens = [self(*label) for label in self.labels]
+        return ExactSpanSolver([*map(alg.x, n), *map(alg.p, n), *gens, alg.one()])
+
+    @staticmethod
+    def _image(labels: list, perm: tuple) -> list:
+        """Where each correction-basis index goes under the modes' relabelling by perm."""
+        n = len(perm)
+        gens = [2 * n + labels.index(canonical_label(k, perm[mu], perm[nu])) for k, mu, nu in labels]
+        return [*perm, *(n + mu for mu in perm), *gens, 2 * n + len(gens)]
+
+
 @dataclass
 class StructureConstants:
     """Exact structure constants over the quadratic generator basis."""
@@ -572,26 +648,34 @@ class StructureConstants:
         return list(zip(i.tolist(), j.tolist(), k.tolist()))
 
 
-def closure_and_constants(metric: Metric, sign: int = -1) -> StructureConstants:
-    """Verify the generator basis closes under brackets; return exact constants."""
-    alg = WeylAlgebra(metric, sign)
-    labels, polys = generator_basis(alg)
-    solver = ExactSpanSolver(polys)
-    table = {}
-    d = len(polys)
-    for i in range(d):
-        for j in range(i + 1, d):
-            br = commutator(polys[i], polys[j])
-            if br.is_zero():
-                table[(i, j)] = {}
-                continue
-            coeffs = solver.solve(br)
-            if coeffs is None:
+def closure_and_constants(metric: Metric, sign: int = -1,
+                          context: ExactContext | None = None) -> StructureConstants:
+    """Verify the generator basis closes under brackets; return exact constants.
+
+    One bracket per orbit representative of the label pairs (`mode_orbit` of
+    the pair's four indices, "+" and "-" labels back in mu <= nu order) is
+    expanded over the correction basis of `context` (fresh if None), and each
+    pair maps that row through its relabelling.  A bracket outside the span
+    of the generators alone is a ClosureFailure named at the pair's labels.
+    """
+    ctx = context or ExactContext(metric, sign)
+    labels, n = ctx.labels, 2 * metric.dim
+    rows, table = {}, {}  # representative label pair -> {correction-basis index: c}
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        (ka, *a), (kb, *b) = labels[i], labels[j]
+        rep, perm = ctx.orbit((*a, *b))
+        key = canonical_label(ka, *rep[:2]), canonical_label(kb, *rep[2:])
+        if key not in rows:
+            br = ctx.bracket(*key)
+            coeffs = ctx.solver.solve(br) if br.terms else []
+            rows[key] = {} if coeffs is None else {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
+            if coeffs is None or any(not n <= k < n + len(labels) for k in rows[key]):
                 raise ClosureFailure(
-                    f"[{label_text(labels[i])}, {label_text(labels[j])}] = {br.text()} "
-                    "is outside the generator span"
+                    f"[{label_text(labels[i])}, {label_text(labels[j])}] = "
+                    f"{relabel_modes(br, perm).text()} is outside the generator span"
                 )
-            table[(i, j)] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
+        moved = ctx.image(perm)
+        table[(i, j)] = dict(sorted((moved[k] - n, c) for k, c in rows[key].items()))
     return StructureConstants(metric, sign, labels, table)
 
 

@@ -7,7 +7,6 @@ convention).  Those verdicts, with the engine's corrected forms, are locked
 in here so any registry or engine change that disturbs them is caught.
 """
 
-import functools
 import importlib.util
 import itertools
 import json
@@ -23,7 +22,17 @@ from lctkit.tables import (
     TENSOR_TABLES,
     verify_table,
 )
-from lctkit.weyl import Metric, WeylAlgebra, build_generator, commutator, relabel_modes
+from lctkit.weyl import (
+    ExactContext,
+    Metric,
+    WeylAlgebra,
+    build_generator,
+    closure_and_constants,
+    commutator,
+    generator_labels,
+    mode_orbit,
+    relabel_modes,
+)
 
 TWO_I = GaussianRational(0, 2)
 
@@ -208,6 +217,36 @@ def test_eq73_builds_each_quadratic_word_once_per_call(monkeypatch):
     assert second.to_json() == first.to_json()
 
 
+@pytest.mark.parametrize("metric", [Metric(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)],
+                         ids=str)
+def test_one_shared_context_gives_the_reports_and_closure_of_fresh_calls(metric):
+    # `verify --all` runs every tensor table and then the closure on one context
+    for sign in (-1, 1):
+        ctx = ExactContext(metric, sign)
+        for table in TENSOR_TABLES:
+            shared = verify_table(table, metric=metric, sign=sign, context=ctx)
+            assert shared.to_json() == verify_table(table, metric=metric, sign=sign).to_json(), (table, sign)
+        shared = closure_and_constants(metric, sign, context=ctx).table
+        fresh = closure_and_constants(metric, sign).table
+        assert [(p, list(r.items())) for p, r in shared.items()] == [(p, list(r.items())) for p, r in fresh.items()]
+
+
+def test_a_shared_context_builds_each_generator_once_for_all_tables_and_the_closure(monkeypatch):
+    calls = []
+    original = weyl.build_generator
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "build_generator", counted)
+    ctx = ExactContext(Metric(2, 1), -1)
+    for table in TENSOR_TABLES:
+        verify_table(table, metric=Metric(2, 1), context=ctx)
+    closure_and_constants(Metric(2, 1), context=ctx)
+    assert sorted(calls) == sorted(generator_labels(3))
+
+
 @pytest.mark.parametrize("table", TABLE_IDS)
 def test_every_report_matches_its_recorded_digest(table):
     # one sha256 per report over both signs and, for tensor tables, every
@@ -228,19 +267,12 @@ def _covariance_breaks(table, metric, sign):
     """(indices, line) where the builder's line is not its orbit
     representative's line relabelled, building every index tuple."""
     arity, builder = tables._REGISTRY[table]
-    alg = WeylAlgebra(metric, sign)
-
-    @functools.cache
-    def gen(kind, mu=0, nu=0):
-        if len(kind) == 2:
-            return alg.word((kind[0], mu), (kind[1], nu))
-        return build_generator(alg, kind, mu, nu)
-
+    gen = ExactContext(metric, sign)
     breaks = []
     for indices in itertools.product(range(metric.dim), repeat=arity):
-        rep, perm = tables._orbit(indices, metric)
-        lines = builder(alg, gen, *indices)
-        for (line, lhs, rhs), (_, rep_lhs, rep_rhs) in zip(lines, builder(alg, gen, *rep), strict=True):
+        rep, perm = mode_orbit(indices, metric)
+        lines = builder(gen.alg, gen, *indices)
+        for (line, lhs, rhs), (_, rep_lhs, rep_rhs) in zip(lines, builder(gen.alg, gen, *rep), strict=True):
             if lhs != relabel_modes(rep_lhs, perm) or rhs != relabel_modes(rep_rhs, perm):
                 breaks.append((indices, line))
     return breaks
@@ -270,9 +302,9 @@ def test_covariance_check_catches_a_right_hand_side_that_singles_out_a_mode(monk
 )
 def test_four_index_tuples_fall_into_the_documented_orbits(metric, orbits):
     tuples = list(itertools.product(range(metric.dim), repeat=4))
-    reps = {tables._orbit(t, metric)[0] for t in tuples}
+    reps = {mode_orbit(t, metric)[0] for t in tuples}
     assert len(reps) == orbits
     for t in tuples:
-        rep, perm = tables._orbit(t, metric)
+        rep, perm = mode_orbit(t, metric)
         assert tuple(perm[r] for r in rep) == t
-    assert tables._orbit((), Metric(1, 0)) == ((), (0,))
+    assert mode_orbit((), Metric(1, 0)) == ((), (0,))

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lctkit import weyl
 from lctkit.scalars import GaussianRational, I, ONE, ZERO
-from lctkit.tables import correction_basis
 from lctkit.weyl import (
     EUCLIDEAN_1D,
     AlgebraElement,
+    ClosureFailure,
     ConventionMismatch,
+    ExactContext,
     ExactSpanSolver,
     IndexOutOfRange,
     Metric,
@@ -290,9 +292,9 @@ class _DenseSpanSolver:
 
 @functools.lru_cache(maxsize=None)
 def _correction_solvers(n_plus, n_minus, sign):
-    alg = WeylAlgebra(Metric(n_plus, n_minus), sign)
-    _, polys = correction_basis(alg, functools.partial(build_generator, alg))
-    return alg, polys, ExactSpanSolver(polys), _DenseSpanSolver(polys)
+    ctx = ExactContext(Metric(n_plus, n_minus), sign)
+    polys = ctx.solver.basis
+    return ctx.alg, polys, ExactSpanSolver(polys), _DenseSpanSolver(polys)
 
 
 _SIGNATURES = [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1)]
@@ -344,8 +346,8 @@ def test_target_outside_the_basis_is_none_in_both(case, extra):
 
 @pytest.mark.parametrize("extra", ["repeat", "combination", "zero"])
 def test_dependent_basis_raises_span_failure(extra):
-    alg = WeylAlgebra(Metric(2, 0), -1)
-    _, polys = correction_basis(alg, functools.partial(build_generator, alg))
+    ctx = ExactContext(Metric(2, 0), -1)
+    alg, polys = ctx.alg, ctx.solver.basis
     polys = polys + [{
         "repeat": polys[3],
         "combination": polys[0] * Fraction(1, 3) - polys[-2] * I,
@@ -641,6 +643,73 @@ def test_jacobi_holds_at_the_largest_signatures_and_reports_plain_ints(signature
     assert bad and isinstance(bad, list) and bad == _jacobi_reference(perturbed)
     assert all(type(t) is tuple and len(t) == 3 and all(type(x) is int for x in t) for t in bad)
     assert bad == sorted(bad) and all(i < j < k for i, j, k in bad)
+
+
+# -- the closure on orbits of label pairs -------------------------------------
+
+# every signature with 1 <= N <= 4
+_ALL_SIGNATURES = [(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_closure(n_plus, n_minus, sign):
+    """The oracle: one commutator and one solve over the generators per label pair."""
+    labels, polys = generator_basis(WeylAlgebra(Metric(n_plus, n_minus), sign))
+    solver = ExactSpanSolver(polys)
+    table = {}
+    for i, j in itertools.combinations(range(len(polys)), 2):
+        coeffs = solver.solve(commutator(polys[i], polys[j]))
+        table[(i, j)] = {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
+    return labels, [(pair, list(row.items())) for pair, row in table.items()]
+
+
+def _orbit_closure_mismatches():
+    """(signature, sign) where the orbit closure is not the oracle's table,
+    pair order and row key order included, or raises on a label it made."""
+    bad = []
+    for sig, sign in itertools.product(_ALL_SIGNATURES, (1, -1)):
+        labels, want = _pairwise_closure(*sig, sign)
+        try:
+            sc = closure_and_constants(Metric(*sig), sign)
+        except ValueError:  # a relabelled label that is not a basis label
+            bad.append((sig, sign))
+            continue
+        if sc.labels != labels or [(pair, list(row.items())) for pair, row in sc.table.items()] != want:
+            bad.append((sig, sign))
+    return bad
+
+
+def test_orbit_closure_equals_the_pairwise_oracle_and_satisfies_jacobi():
+    assert _orbit_closure_mismatches() == []
+    for sig, sign in itertools.product(_ALL_SIGNATURES, (1, -1)):
+        assert closure_and_constants(Metric(*sig), sign).jacobi_violations() == [], (sig, sign)
+
+
+def test_oracle_catches_plus_minus_labels_left_out_of_mu_le_nu_order(monkeypatch):
+    monkeypatch.setattr(weyl, "canonical_label", lambda kind, mu=0, nu=0: (kind, mu, nu))
+    bad = _orbit_closure_mismatches()
+    assert bad and all(sum(sig) > 1 for sig, _ in bad)
+
+
+def test_oracle_catches_mirrored_pairs_left_unnegated(monkeypatch):
+    # a representative in the mirror order of its memoised bracket gets that
+    # bracket as it is, not its negation
+    bracket = ExactContext.bracket
+    monkeypatch.setattr(ExactContext, "bracket", lambda ctx, a, b: bracket(ctx, *sorted((a, b))))
+    bad = _orbit_closure_mismatches()
+    assert bad and all(sum(sig) > 1 for sig, _ in bad)
+
+
+def test_closure_failure_names_the_first_failing_pair_at_its_own_labels(monkeypatch):
+    bracket = ExactContext.bracket
+
+    def leaks_a_constant(ctx, a, b):
+        br = bracket(ctx, a, b)
+        return br + ctx.alg.one() if (a[0], b[0]) == ("-", "x") else br
+
+    monkeypatch.setattr(ExactContext, "bracket", leaks_a_constant)
+    with pytest.raises(ClosureFailure, match=r"^\[b-\[0,0\], bx\[0,0\]\] = .*\(1\).* is outside"):
+        closure_and_constants(Metric(2, 1))
 
 
 # -- symplectic substitution --------------------------------------------------
