@@ -28,7 +28,7 @@ from .weyl import (
     EUCLIDEAN_1D,
     ExactContext,
     Metric,
-    build_generator,  # noqa: F401  (generators are built through weyl; patch points stay)
+    build_generator,  # noqa: F401  (unused here; kept for callers that patch it by this name)
     build_ladder,
     commutator,
     dispersion_generators,

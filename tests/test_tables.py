@@ -217,36 +217,6 @@ def test_eq73_builds_each_quadratic_word_once_per_call(monkeypatch):
     assert second.to_json() == first.to_json()
 
 
-@pytest.mark.parametrize("metric", [Metric(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)],
-                         ids=str)
-def test_one_shared_context_gives_the_reports_and_closure_of_fresh_calls(metric):
-    # `verify --all` runs every tensor table and then the closure on one context
-    for sign in (-1, 1):
-        ctx = ExactContext(metric, sign)
-        for table in TENSOR_TABLES:
-            shared = verify_table(table, metric=metric, sign=sign, context=ctx)
-            assert shared.to_json() == verify_table(table, metric=metric, sign=sign).to_json(), (table, sign)
-        shared = closure_and_constants(metric, sign, context=ctx).table
-        fresh = closure_and_constants(metric, sign).table
-        assert [(p, list(r.items())) for p, r in shared.items()] == [(p, list(r.items())) for p, r in fresh.items()]
-
-
-def test_a_shared_context_builds_each_generator_once_for_all_tables_and_the_closure(monkeypatch):
-    calls = []
-    original = weyl.build_generator
-
-    def counted(*args):
-        calls.append(args[1:])
-        return original(*args)
-
-    monkeypatch.setattr(weyl, "build_generator", counted)
-    ctx = ExactContext(Metric(2, 1), -1)
-    for table in TENSOR_TABLES:
-        verify_table(table, metric=Metric(2, 1), context=ctx)
-    closure_and_constants(Metric(2, 1), context=ctx)
-    assert sorted(calls) == sorted(generator_labels(3))
-
-
 @pytest.mark.parametrize("table", TABLE_IDS)
 def test_every_report_matches_its_recorded_digest(table):
     # one sha256 per report over both signs and, for tensor tables, every
@@ -308,3 +278,32 @@ def test_four_index_tuples_fall_into_the_documented_orbits(metric, orbits):
         rep, perm = mode_orbit(t, metric)
         assert tuple(perm[r] for r in rep) == t
     assert mode_orbit((), Metric(1, 0)) == ((), (0,))
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=str)
+def test_one_shared_context_gives_the_reports_and_closure_of_fresh_calls(metric):
+    # `verify --all` runs every tensor table and then the closure on one context
+    for sign in (-1, 1):
+        ctx = ExactContext(metric, sign)
+        for table in TENSOR_TABLES:
+            shared = verify_table(table, metric=metric, sign=sign, context=ctx)
+            assert shared.to_json() == verify_table(table, metric=metric, sign=sign).to_json(), (table, sign)
+        shared = closure_and_constants(metric, sign, context=ctx).table
+        fresh = closure_and_constants(metric, sign).table
+        assert [(p, list(r.items())) for p, r in shared.items()] == [(p, list(r.items())) for p, r in fresh.items()]
+
+
+def test_a_shared_context_builds_each_generator_once_for_all_tables_and_the_closure(monkeypatch):
+    calls = []
+    original = weyl.build_generator
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "build_generator", counted)
+    ctx = ExactContext(Metric(2, 1), -1)
+    for table in TENSOR_TABLES:
+        verify_table(table, metric=Metric(2, 1), context=ctx)
+    closure_and_constants(Metric(2, 1), context=ctx)
+    assert sorted(calls) == sorted(generator_labels(3))
