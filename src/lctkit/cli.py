@@ -12,6 +12,7 @@ warnings, not failures: the derivation, not the typography, is the contract.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -241,15 +242,15 @@ def transform(ctx, input_path, spec_path):
             click.echo(sidecar, err=True, nl=False)
 
 
-def _table_check(name: str, metric, context) -> dict:
-    report = tables.verify_table(name, metric=metric, context=context)
+def _table_check(name: str, metric, make_context) -> dict:
+    report = tables.verify_table(name, metric=metric, make_context=make_context)
     status = "pass" if report.ok() else "warn"
     return {"name": name, "status": status, "report": report.to_json()}
 
 
-def _closure_check(metric: weyl.Metric, context) -> dict:
+def _closure_check(metric: weyl.Metric, make_context) -> dict:
     try:
-        sc = weyl.closure_and_constants(metric, context=context)
+        sc = weyl.closure_and_constants(metric, make_context=make_context)
         expected = metric.dim * (2 * metric.dim + 1)
         jacobi_exact = not sc.jacobi_violations()
         ok = sc.dimension == expected and jacobi_exact
@@ -342,17 +343,16 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     checks = []
     try:
         metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
-        # one exact context per (metric, sign): tensor tables and closure, 1-D tables
-        tensor, one_dim = weyl.ExactContext(metric, -1), weyl.ExactContext(weyl.EUCLIDEAN_1D, +1)
+        # one exact context per (metric, sign), made on first use, for this call only
+        make_context = functools.cache(weyl.ExactContext)
         for name in tables.TABLE_IDS if run_all else table_names:
             if name not in tables.TABLE_IDS:
                 raise click.UsageError(
                     f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
                 )
-            context = tensor if name in tables.TENSOR_TABLES else one_dim
-            checks.append(_table_check(name, metric, context))
+            checks.append(_table_check(name, metric, make_context))
         if run_all:
-            checks.append(_closure_check(metric, tensor))
+            checks.append(_closure_check(metric, make_context))
         u = metaplectic.build_unitary(theta, 1.0, cutoff) if homomorphism or basis_law else None
         if homomorphism:
             checks.append(_homomorphism_check(u, tol))

@@ -8,7 +8,7 @@ p, the generators and 1).  A table is registered with its arity and a
 builder that yields its printed lines at one index tuple: arity 0 is a
 one-dimensional table (sign=+1 convention), arity 2, 3 or 4 a tensor table
 (sign=-1 convention).  `verify_table` runs the index loop over all tuples,
-applies the owning convention and passes the builders its `weyl.ExactContext`.
+applies the owning convention and passes the builders a `weyl.ExactContext`.
 
 The index tuples fall into orbits under the permutations of modes that keep
 each signature block, and every tensor-table line is covariant under them
@@ -28,7 +28,6 @@ from .weyl import (
     EUCLIDEAN_1D,
     ExactContext,
     Metric,
-    build_generator,  # noqa: F401  (unused here; kept for callers that patch it by this name)
     build_ladder,
     commutator,
     dispersion_generators,
@@ -311,7 +310,7 @@ class TableReport:
 
 
 def verify_table(table: str, metric: Metric | None = None, sign: int | None = None,
-                 context: ExactContext | None = None) -> TableReport:
+                 make_context=ExactContext) -> TableReport:
     """Check every printed line of a table at every index tuple.
 
     A table of arity k is checked at every k-tuple over 0..N-1, in
@@ -321,8 +320,8 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     line is a tensor expression in the diagonal eta, so the other tuples
     relabel the representative's polynomials and expansion labels, and render
     their texts at their own indices.  The owning convention sign applies
-    unless `sign` overrides it.  Builders get `context`, an ExactContext for
-    this metric and sign, as `gen`; without one the call builds its own.
+    unless `sign` overrides it.  Builders get `make_context(metric, sign)` as
+    `gen`: fresh by default, shared when the caller passes a cached maker.
     """
     if table not in _REGISTRY:
         raise KeyError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
@@ -334,7 +333,7 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     if metric.dim > 4:
         raise ValueError("tables are verified for N <= 4")
     use_sign = (-1 if arity else +1) if sign is None else sign
-    ctx = context or ExactContext(metric, use_sign)
+    ctx = make_context(metric, use_sign)
     report = TableReport(table, metric, use_sign)
     lines = {}  # orbit representative -> its (line, lhs, residual) triples
     expansions = {}  # (representative, line) -> {basis index: coefficient text}, or None

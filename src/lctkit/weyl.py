@@ -553,9 +553,8 @@ class ExactContext:
     def __call__(self, kind: str, mu: int = 0, nu: int = 0) -> WeylPolynomial:
         key = canonical_label(kind, mu, nu)
         if key not in self._polys:
-            alg = self.alg
-            self._polys[key] = (alg.word((kind[0], mu), (kind[1], nu)) if len(kind) == 2
-                                else build_generator(alg, *key))
+            self._polys[key] = (self.alg.word((kind[0], mu), (kind[1], nu)) if len(kind) == 2
+                                else build_generator(self.alg, *key))
         return self._polys[key]
 
     def bracket(self, a: tuple, b: tuple) -> WeylPolynomial:
@@ -649,16 +648,18 @@ class StructureConstants:
 
 
 def closure_and_constants(metric: Metric, sign: int = -1,
-                          context: ExactContext | None = None) -> StructureConstants:
+                          make_context=ExactContext) -> StructureConstants:
     """Verify the generator basis closes under brackets; return exact constants.
 
     One bracket per orbit representative of the label pairs (`mode_orbit` of
     the pair's four indices, "+" and "-" labels back in mu <= nu order) is
-    expanded over the correction basis of `context` (fresh if None), and each
-    pair maps that row through its relabelling.  A bracket outside the span
-    of the generators alone is a ClosureFailure named at the pair's labels.
+    expanded over the correction basis of `make_context(metric, sign)`, and
+    each pair maps that row through its relabelling.  A bracket outside the
+    span of the generators alone is a ClosureFailure named at the pair's
+    labels.  The default makes a fresh context; `verify` passes a cached
+    maker so that the tensor tables and the closure share one.
     """
-    ctx = context or ExactContext(metric, sign)
+    ctx = make_context(metric, sign)
     labels, n = ctx.labels, 2 * metric.dim
     rows, table = {}, {}  # representative label pair -> {correction-basis index: c}
     for i, j in itertools.combinations(range(len(labels)), 2):

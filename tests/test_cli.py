@@ -128,6 +128,19 @@ def test_verify_nonpositive_dim_is_usage_error(runner, dim):
     assert "N = n_plus + n_minus >= 1" in result.output
 
 
+@pytest.mark.parametrize("dim", ["100000", "1" + "0" * 400])
+def test_verify_large_dim_builds_nothing_that_no_check_uses(runner, dim):
+    # exact objects are made per check: a tensor table refuses N > 4 first,
+    # and the 1-D tables and the numerical checks never read the metric's size
+    result = runner.invoke(main, ["verify", "--dim", dim, "--table", "Eq74"])
+    assert result.exit_code == 2
+    assert "tables are verified for N <= 4" in result.output
+    result = runner.invoke(main, ["verify", "--dim", dim, "--table", "Eq10",
+                                  "--homomorphism", "--cutoff", "32"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["counts"] == {"pass": 2, "warn": 0, "fail": 0}
+
+
 def test_verify_homomorphism_zero_angles(runner):
     result = runner.invoke(main, ["verify", "--homomorphism", "--angles", "0,0,0",
                                   "--cutoff", "32"])

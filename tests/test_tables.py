@@ -7,6 +7,7 @@ convention).  Those verdicts, with the engine's corrected forms, are locked
 in here so any registry or engine change that disturbs them is caught.
 """
 
+import functools
 import importlib.util
 import itertools
 import json
@@ -185,7 +186,6 @@ def test_generators_are_built_once_per_call_and_not_kept_between_calls(monkeypat
         return original(*args)
 
     monkeypatch.setattr(weyl, "build_generator", counted)
-    monkeypatch.setattr(tables, "build_generator", counted)
     first = verify_table("Eq75", metric=Metric(4, 0))
     n_first = len(calls)
     assert 0 < n_first <= 48
@@ -284,11 +284,12 @@ def test_four_index_tuples_fall_into_the_documented_orbits(metric, orbits):
 def test_one_shared_context_gives_the_reports_and_closure_of_fresh_calls(metric):
     # `verify --all` runs every tensor table and then the closure on one context
     for sign in (-1, 1):
-        ctx = ExactContext(metric, sign)
+        make_context = functools.cache(ExactContext)
         for table in TENSOR_TABLES:
-            shared = verify_table(table, metric=metric, sign=sign, context=ctx)
+            shared = verify_table(table, metric=metric, sign=sign, make_context=make_context)
             assert shared.to_json() == verify_table(table, metric=metric, sign=sign).to_json(), (table, sign)
-        shared = closure_and_constants(metric, sign, context=ctx).table
+        shared = closure_and_constants(metric, sign, make_context=make_context).table
+        assert make_context.cache_info().currsize == 1
         fresh = closure_and_constants(metric, sign).table
         assert [(p, list(r.items())) for p, r in shared.items()] == [(p, list(r.items())) for p, r in fresh.items()]
 
@@ -302,8 +303,9 @@ def test_a_shared_context_builds_each_generator_once_for_all_tables_and_the_clos
         return original(*args)
 
     monkeypatch.setattr(weyl, "build_generator", counted)
-    ctx = ExactContext(Metric(2, 1), -1)
+    make_context = functools.cache(ExactContext)
     for table in TENSOR_TABLES:
-        verify_table(table, metric=Metric(2, 1), context=ctx)
-    closure_and_constants(Metric(2, 1), context=ctx)
+        verify_table(table, metric=Metric(2, 1), make_context=make_context)
+    closure_and_constants(Metric(2, 1), make_context=make_context)
     assert sorted(calls) == sorted(generator_labels(3))
+    assert make_context.cache_info().currsize == 1
