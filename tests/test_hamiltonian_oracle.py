@@ -16,28 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from lct_oracles import symmetric_form
+
 from lctkit.weyl import Metric, closure_and_constants
 
 SIGNATURES = [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1)]
-
-
-def _symmetric_form(label, n):
-    """S with Q = z^T S z for the quarter-normalised generator `label`."""
-    kind, mu, nu = label
-    s = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-
-    def add(a, b, v):
-        # symmetric split of v * z_a z_b (ordering constants drop out of brackets)
-        s[a][b] += v / 2
-        s[b][a] += v / 2
-
-    quarter = Fraction(1, 4)
-    if kind in "+-":
-        add(n + mu, n + nu, quarter)
-        add(mu, nu, quarter if kind == "+" else -quarter)
-    else:
-        add(n + mu, nu, 2 * quarter)  # (p_mu x_nu + x_nu p_mu)/4
-    return s
 
 
 def _omega(metric, sign):
@@ -97,7 +80,7 @@ def test_structure_constants_match_hamiltonian_matrix_commutators(signature):
     n = metric.dim
     assert sc.dimension == n * (2 * n + 1)
     om = _omega(metric, sc.sign)
-    mats = [[[2 * v for v in row] for row in _matmul(_symmetric_form(label, n), om)]
+    mats = [[[2 * v for v in row] for row in _matmul(symmetric_form(label, n), om)]
             for label in sc.labels]
     solver = _FractionSolver(mats)
     for i in range(sc.dimension):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lct_oracles import symmetric_form
 
 from lctkit import weyl
 from lctkit.scalars import GaussianRational, I, ONE, ZERO
@@ -856,6 +857,159 @@ def test_transform_multidim_stays_in_span():
     # rotations in the (p0, x0) plane preserve the 00 plus-generator
     assert el.theta_plus[0][0] == 1
     assert all(v == 0 for row in el.theta_cross for v in row)
+
+
+# -- the N-dimensional transformation law ------------------------------------
+#
+# S acts in the row convention (p' x') = (p x) S.  A generator is the
+# Weyl-symmetric quantisation of z A z^T, z = (x, p), so its image is that of
+# z S' A S'^T z^T with S' the matrix S with its blocks reordered to (x, p):
+# a congruence with no ordering constant.
+
+_LAW_SIGNATURES = [(2, 0), (1, 1), (3, 0), (2, 1)]
+_COSH, _SINH = Fraction(5, 4), Fraction(3, 4)
+
+
+def _eye(m):
+    return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+
+
+def _mode_mixer(metric, a, b, c, s):
+    """p_a, p_b and x_a, x_b mixed by one 2x2 matrix L with L^T eta L = eta:
+    a rotation within a signature block, a boost across the two."""
+    n = metric.dim
+    ea, eb = metric.eta(a, a), metric.eta(b, b)
+    out = _eye(2 * n)
+    for off in (0, n):
+        out[off + a][off + a], out[off + a][off + b] = c, s
+        out[off + b][off + a], out[off + b][off + b] = (-s, c) if ea == eb else (s, c)
+    return out
+
+
+def _random_exact_symplectic(rng, metric):
+    """A product of 1-4 exact factors: mode rotations and boosts, rotations and
+    squeezes of one (p, x) plane, and shears with eta B symmetric."""
+    n = metric.dim
+    eta = metric.diag()
+    s = _eye(2 * n)
+    for _ in range(rng.randint(1, 4)):
+        f = _eye(2 * n)
+        kind = rng.randrange(4)
+        a, b = rng.sample(range(n), 2)
+        if kind == 0:
+            if eta[a] == eta[b]:
+                c, si = rng.choice([(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))])
+            else:
+                c, si = _COSH, rng.choice([_SINH, -_SINH])
+            f = _mode_mixer(metric, a, b, c, si)
+        elif kind == 1:
+            c, si = Fraction(8, 17), Fraction(15, 17)
+            f[a][a], f[a][n + a], f[n + a][a], f[n + a][n + a] = c, si, -si, c
+        elif kind == 2:
+            k = Fraction(rng.choice([2, 3, -2]))
+            f[a][a], f[n + a][n + a] = k, 1 / k
+        else:
+            # upper (x' = x + p B) or lower (p' = p + x C) shear, eta B symmetric
+            k = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            lo, hi = (0, n) if rng.random() < 0.5 else (n, 0)
+            f[lo + a][hi + b] += k
+            f[lo + b][hi + a] += k * eta[a] * eta[b]
+        s = _matmul(s, f)
+    return s
+
+
+def _is_symplectic(s, metric):
+    n = metric.dim
+    j = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for mu, e in enumerate(metric.diag()):
+        j[mu][n + mu], j[n + mu][mu] = Fraction(e), Fraction(-e)
+    st = [list(col) for col in zip(*s)]
+    return _matmul(_matmul(st, j), s) == j
+
+
+def _congruence(s, label, n):
+    """S' A S'^T for the generator's form A, in the (x, p) order of A."""
+    src = [(i + n) % (2 * n) for i in range(2 * n)]  # (x, p) index -> (p, x) index
+    s_xp = [[s[src[i]][src[j]] for j in range(2 * n)] for i in range(2 * n)]
+    form = _matmul(_matmul(s_xp, symmetric_form(label, n)), [list(c) for c in zip(*s_xp)])
+    return form
+
+
+def _element_form(el, n):
+    """The form of sum tp[a][b] b+_ab + tm[a][b] b-_ab + tx[a][b] bx_ab."""
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for kind, theta in (("+", el.theta_plus), ("-", el.theta_minus), ("x", el.theta_cross)):
+        for a in range(n):
+            for b in range(n):
+                if theta[a][b]:
+                    form = symmetric_form((kind, a, b), n)
+                    for i in range(2 * n):
+                        for j in range(2 * n):
+                            out[i][j] += theta[a][b] * form[i][j]
+    return out
+
+
+def _law_labels(n):
+    return weyl.generator_labels(n)
+
+
+def _transform(metric, sign, s, label):
+    return transform_generators(WeylAlgebra(metric, sign), s, *label)
+
+
+def _transform_element(metric, sign, s, el):
+    """The image of an algebra element: its tensor sums mapped term by term."""
+    n = metric.dim
+    acc = {name: [[Fraction(0)] * n for _ in range(n)] for name in ("theta_plus", "theta_minus", "theta_cross")}
+    for kind, theta in (("+", el.theta_plus), ("-", el.theta_minus), ("x", el.theta_cross)):
+        for a in range(n):
+            for b in range(n):
+                if theta[a][b]:
+                    image = _transform(metric, sign, s, (kind, a, b))
+                    for name in acc:
+                        for i in range(n):
+                            for j in range(n):
+                                acc[name][i][j] += theta[a][b] * getattr(image, name)[i][j]
+    return AlgebraElement(metric, acc["theta_plus"], acc["theta_minus"], acc["theta_cross"])
+
+
+@pytest.mark.parametrize("signature", _LAW_SIGNATURES, ids=str)
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_transform_law_is_the_congruence_of_the_symmetric_form(signature, sign):
+    metric = Metric(*signature)
+    n = metric.dim
+    rng = random.Random(100 * signature[0] + 10 * signature[1] + sign)
+    for _ in range(2):
+        s = _random_exact_symplectic(rng, metric)
+        assert _is_symplectic(s, metric) and s != _eye(2 * n)
+        for label in _law_labels(n):
+            el = _transform(metric, sign, s, label)
+            assert _element_form(el, n) == _congruence(s, label, n), label
+
+
+@pytest.mark.parametrize("signature", _LAW_SIGNATURES, ids=str)
+def test_transform_law_composes_over_products(signature):
+    # substitution by S1 S2 is substitution by S2, then by S1 on each term
+    metric = Metric(*signature)
+    rng = random.Random(sum(signature) * 31 + signature[1])
+    s1, s2 = _random_exact_symplectic(rng, metric), _random_exact_symplectic(rng, metric)
+    for label in [("+", 0, 1), ("-", 1, 1), ("x", 1, 0)]:
+        both = _transform(metric, -1, _matmul(s1, s2), label)
+        stepwise = _transform_element(metric, -1, s1, _transform(metric, -1, s2, label))
+        assert both == stepwise, label
+
+
+def test_transform_law_oracle_pins_the_row_convention():
+    # a shear is not symmetric: the column convention (p x)^T -> S (p x)^T
+    # would give the congruence by S^T, which the engine must not match
+    metric = Metric(2, 1)
+    s = _eye(6)
+    s[0][4] = s[1][3] = Fraction(2)  # x' = x + p B, B symmetric on the + block
+    assert _is_symplectic(s, metric)
+    st = [list(c) for c in zip(*s)]
+    for label in [("+", 0, 0), ("-", 0, 1), ("x", 1, 0)]:
+        form = _element_form(_transform(metric, -1, s, label), 3)
+        assert form == _congruence(s, label, 3) != _congruence(st, label, 3), label
 
 
 # -- reduction constraints ----------------------------------------------------
