@@ -104,12 +104,27 @@ def _require_finite(value: float, name: str) -> None:
         raise click.UsageError(f"{name} must be finite, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; true, "1" and any other JSON type are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise click.UsageError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _integer(value, name: str) -> int:
-    """value as an int when it is integral: 1, 1.0 and "1" are; 1.5 is refused."""
-    number = float(value)
+    """A JSON number as an int when it is integral: 1 and 1.0 are; 1.5 is refused."""
+    number = _number(value, name)
     if not number.is_integer():
         raise click.UsageError(f"{name} must be an integer")
     return int(number)
+
+
+def _angle_matrix(value, name: str):
+    """value when it is a JSON number or a list of rows of JSON numbers."""
+    for row in value if isinstance(value, list) else [value]:
+        for entry in row if isinstance(row, list) else [row]:
+            _number(entry, name)
+    return value
 
 
 def _parse_angles(text: str) -> symplectic.ThetaAngles:
@@ -192,8 +207,8 @@ def transform(ctx, input_path, spec_path):
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        spec = {key: float(raw[key]) for key in _SPEC_FIELDS}
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        spec = {key: _number(raw[key], f"transform spec field {key}") for key in _SPEC_FIELDS}
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"bad transform spec: {exc}")
     for key, value in spec.items():
         _require_finite(value, f"transform spec field {key}")
@@ -396,12 +411,10 @@ def expmap(ctx, input_path):
         if not isinstance(sig, list) or len(sig) != 2:
             raise ValueError(f"signature must be [n_plus, n_minus], got {sig!r}")
         metric = weyl.Metric(*(_integer(v, "bad expmap input: each signature entry") for v in sig))
-        theta = symplectic.ThetaAngles(
-            n,
-            np.atleast_2d(raw["theta_plus"]),
-            np.atleast_2d(raw["theta_minus"]),
-            np.atleast_2d(raw["theta_cross"]),
-        )
+        theta = symplectic.ThetaAngles(n, *(
+            _angle_matrix(raw[key], f"bad expmap input: {key}")
+            for key in ("theta_plus", "theta_minus", "theta_cross")
+        ))
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"bad expmap input: {exc}")
     if metric.dim != n:

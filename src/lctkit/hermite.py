@@ -122,20 +122,6 @@ class CoefficientExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def hermite_polynomial(n: int, t):
-    """Physicists' Hermite polynomial H_n(t) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    t = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(t)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * t
-    for k in range(1, n):
-        h, h_prev = 2.0 * t * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
-
-
 def _hermite_functions(levels: int, u: np.ndarray):
     """Yield h_k(u) = H_k(u) exp(-u^2/2) / sqrt(2^k k! sqrt(pi)) for k < levels.
 

@@ -14,7 +14,8 @@ parity block the generator is Hermitian tridiagonal and its off-diagonal
 carries the single phase phi = arg(t- + i tx); with D = diag(exp(-i k phi))
 the block is D T D+ for a real symmetric tridiagonal T = V L V^T, so each block
 costs one real eigendecomposition of half the cutoff.  `UnitaryLCT` keeps those
-factors and acts with them (`apply`); only its dense view `U` forms U itself.
+factors and acts with them (`apply`, `leading_rows`); nothing here forms the
+cutoff x cutoff U.
 
 Truncation contaminates the top of the tower, so all residuals are measured
 on the leading cutoff/4 block.  Over the corners of |angles| <= 0.5 the worst
@@ -33,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import CutoffTooSmall, TruncatedOperator, _dense, dispersion_bands, ladder_bands
+from .fock import CutoffTooSmall, _dense, dispersion_bands, ladder_bands
 from .symplectic import DimensionMismatch, ThetaAngles, exp_sp, from_angles
-from .weyl import EUCLIDEAN_1D, WeylAlgebra, printed_transform_rows, transform_generators
+from .weyl import EUCLIDEAN_1D, engine_transform_rows, printed_transform_rows
 
 UNITARITY_TOL = 1e-12
 # smallest cutoff whose leading cutoff/4 block the residual checks judge
@@ -94,14 +95,6 @@ class UnitaryLCT:
             out[parity::2] = rot * (vecs @ inner)
         return out
 
-    @property
-    def U(self) -> TruncatedOperator:
-        """Dense view, the only place the cutoff x cutoff matrix is formed."""
-        u = np.zeros((self.cutoff, self.cutoff), dtype=complex)
-        for parity, block in enumerate(self.leading_rows(self.cutoff)):
-            u[parity::2, parity::2] = block
-        return TruncatedOperator(self.cutoff, u, "unitary_lct")
-
 
 def generator_bands(B: float, cutoff: int):
     """Quarter-normalised generator triple (b+, b-, bx) as {offset: diagonal}."""
@@ -140,17 +133,6 @@ def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
         d, e = diagonal[parity::2], band[parity::2]
         blocks.append(np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
     return UnitaryLCT(angles, B, cutoff, np.angle(complex(tm, tx)), tuple(blocks))
-
-
-def conjugate(u: UnitaryLCT, op: TruncatedOperator) -> TruncatedOperator:
-    """U A U^dagger at matching cutoff."""
-    if op.cutoff != u.cutoff:
-        raise DimensionMismatch(
-            f"operator cutoff {op.cutoff} does not match unitary cutoff {u.cutoff}"
-        )
-    dense = u.U.matrix
-    m = dense @ op.matrix @ dense.conj().T
-    return TruncatedOperator(u.cutoff, m, f"conj({op.label})")
 
 
 def _leading_conjugate(u: UnitaryLCT, bands: dict) -> np.ndarray:
@@ -250,8 +232,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     report = {**_report_head(u, "basis-law"), "tol": tol, "rows": {}}
     block = report["block"]
     s = exp_sp(from_angles(u.angles, EUCLIDEAN_1D))
-    s_rat = rationalize_symplectic(s)
-    alg = WeylAlgebra(EUCLIDEAN_1D, +1)
+    engine_rows = engine_transform_rows(rationalize_symplectic(s))
     gens = dict(zip(("+", "-", "x"), generator_bands(u.B, u.cutoff)))
     bp_lead, bm_lead, bx_lead = (_dense(g, block) for g in gens.values())
     printed_rows = printed_transform_rows(_group_rows(s))
@@ -262,7 +243,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     worst = 0.0
     for kind in ("+", "-", "x"):
         numeric = _leading_conjugate(u, gens[kind])
-        coeffs = tuple(float(c) for c in transform_generators(alg, s_rat, kind).triple())
+        coeffs = tuple(float(c) for c in engine_rows[kind])
         res_engine, res_printed = residual(numeric, coeffs), residual(numeric, printed_rows[kind])
         worst = max(worst, res_engine)
         report["rows"][kind] = {
@@ -287,7 +268,7 @@ def position_convention_unitary(u: UnitaryLCT) -> UnitaryLCT:
     D = diag(i^n).  Without it a coordinate squeeze would act as its inverse
     on sampled data.  In a parity block D U D+ multiplies entry (2j+p, 2k+p)
     by i^(2(j-k)) = exp(-i pi (j-k)): the band phase moved by pi.  The result
-    serves `apply` and `U`; the verify checks use the number-basis U.
+    serves `apply`; the verify checks use the number-basis U.
     """
     shifted = object.__new__(UnitaryLCT)  # u's factors, gated when u was built
     vars(shifted).update({f.name: getattr(u, f.name) for f in fields(u)}, phase=u.phase + np.pi)

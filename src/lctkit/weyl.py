@@ -152,6 +152,27 @@ def _mono_sort_key(mono):
     return (sum(xs) + sum(ps), xs, ps, b2)
 
 
+def render_terms(texts: dict) -> str:
+    """Canonical text of {monomial: coefficient text}, terms in monomial order."""
+    if not texts:
+        return "0"
+    pieces = []
+    for mono in sorted(texts, key=_mono_sort_key):
+        b2, xs, ps = mono
+        factors = ["B" if b2 == 2 else f"B^({Fraction(b2, 2)})"] if b2 else []
+        for q, exps in (("x", xs), ("p", ps)):
+            for mu, e in enumerate(exps):
+                if e:
+                    name = q if len(exps) == 1 else f"{q}{mu}"
+                    factors.append(name if e == 1 else f"{name}^{e}")
+        body, coeff = "*".join(factors), texts[mono]
+        if body:
+            pieces.append(body if coeff == "1" else f"({coeff})*{body}")
+        else:
+            pieces.append(f"({coeff})")
+    return " + ".join(pieces)
+
+
 class WeylPolynomial:
     """Normal-ordered noncommutative polynomial; treat instances as immutable."""
 
@@ -250,31 +271,7 @@ class WeylPolynomial:
 
     def text(self) -> str:
         """Canonical text: terms sorted by monomial order, exact coefficients."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[mono]
-            factors = []
-            b2, xs, ps = mono
-            if b2:
-                factors.append("B" if b2 == 2 else f"B^({Fraction(b2, 2)})")
-            for mu, e in enumerate(xs):
-                if e:
-                    name = "x" if self.algebra.dim == 1 else f"x{mu}"
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            for mu, e in enumerate(ps):
-                if e:
-                    name = "p" if self.algebra.dim == 1 else f"p{mu}"
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
-            coeff = c.text()
-            if body:
-                piece = body if coeff == "1" else f"({coeff})*{body}"
-            else:
-                piece = f"({coeff})"
-            pieces.append(piece)
-        return " + ".join(pieces)
+        return render_terms({m: c.text() for m, c in self.terms.items()})
 
     def __repr__(self):
         return f"WeylPolynomial({self.text()})"
@@ -350,11 +347,14 @@ def relabel_modes(poly: WeylPolynomial, perm) -> WeylPolynomial:
     n, n_plus = alg.dim, alg.metric.n_plus
     if sorted(perm) != list(range(n)) or any((mu < n_plus) != (perm[mu] < n_plus) for mu in range(n)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1} within the signature blocks")
-    source = [perm.index(mu) for mu in range(n)]  # mode that lands on each mode
-    return WeylPolynomial(alg, {
-        (b2, tuple(xs[mu] for mu in source), tuple(ps[mu] for mu in source)): c
-        for (b2, xs, ps), c in poly.terms.items()
-    })
+    return WeylPolynomial(alg, relabel_terms(poly.terms, perm))
+
+
+def relabel_terms(terms: dict, perm) -> dict:
+    """terms with the modes of each monomial key relabelled by perm, values kept."""
+    source = [perm.index(mu) for mu in range(len(perm))]  # mode that lands on each mode
+    return {(b2, tuple(xs[mu] for mu in source), tuple(ps[mu] for mu in source)): c
+            for (b2, xs, ps), c in terms.items()}
 
 
 def mode_orbit(indices: tuple, metric: Metric):
@@ -371,22 +371,6 @@ def mode_orbit(indices: tuple, metric: Metric):
     for block in (range(metric.n_plus), range(metric.n_plus, metric.dim)):
         perm += [mu for mu in seen if mu in block] + [mu for mu in block if mu not in seen]
     return tuple(perm.index(mu) for mu in indices), tuple(perm)
-
-
-@dataclass
-class IdentityResult:
-    holds: bool
-    residual: WeylPolynomial
-
-    def __bool__(self):
-        return self.holds
-
-
-def verify_identity(lhs: WeylPolynomial, rhs: WeylPolynomial) -> IdentityResult:
-    """Exact check lhs == rhs; the residual is the normal-ordered difference."""
-    lhs._require_compatible(rhs)
-    residual = lhs - rhs
-    return IdentityResult(residual.is_zero(), residual)
 
 
 def build_generator(alg: WeylAlgebra, kind: str, mu: int = 0, nu: int = 0) -> WeylPolynomial:
@@ -512,12 +496,6 @@ def generator_labels(n: int) -> list:
     return labels + [("x", mu, nu) for mu in range(n) for nu in range(n)]
 
 
-def generator_basis(alg: WeylAlgebra):
-    """Ordered basis labels and polynomials, see `generator_labels`."""
-    labels = generator_labels(alg.dim)
-    return labels, [build_generator(alg, *label) for label in labels]
-
-
 def label_text(label) -> str:
     kind, mu, nu = label
     return f"b{kind}[{mu},{nu}]"
@@ -571,6 +549,16 @@ class ExactContext:
         alg, n = self.alg, range(self.alg.dim)
         gens = [self(*label) for label in self.labels]
         return ExactSpanSolver([*map(alg.x, n), *map(alg.p, n), *gens, alg.one()])
+
+    def generator_row(self, poly: WeylPolynomial):
+        """poly's nonzero coefficients over the generators, keyed by label index,
+        or None when poly is outside the span of the generators alone."""
+        coeffs = self.solver.solve(poly) if poly.terms else []
+        if coeffs is None:
+            return None
+        n = 2 * self.alg.dim
+        row = {k - n: c for k, c in enumerate(coeffs) if not c.is_zero()}
+        return row if all(0 <= k < len(self.labels) for k in row) else None
 
     @staticmethod
     def _image(labels: list, perm: tuple) -> list:
@@ -661,22 +649,21 @@ def closure_and_constants(metric: Metric, sign: int = -1,
     """
     ctx = make_context(metric, sign)
     labels, n = ctx.labels, 2 * metric.dim
-    rows, table = {}, {}  # representative label pair -> {correction-basis index: c}
+    rows, table = {}, {}  # representative label pair -> {generator index: c}
     for i, j in itertools.combinations(range(len(labels)), 2):
         (ka, *a), (kb, *b) = labels[i], labels[j]
         rep, perm = ctx.orbit((*a, *b))
         key = canonical_label(ka, *rep[:2]), canonical_label(kb, *rep[2:])
         if key not in rows:
             br = ctx.bracket(*key)
-            coeffs = ctx.solver.solve(br) if br.terms else []
-            rows[key] = {} if coeffs is None else {k: c for k, c in enumerate(coeffs) if not c.is_zero()}
-            if coeffs is None or any(not n <= k < n + len(labels) for k in rows[key]):
+            rows[key] = ctx.generator_row(br)
+            if rows[key] is None:
                 raise ClosureFailure(
                     f"[{label_text(labels[i])}, {label_text(labels[j])}] = "
                     f"{relabel_modes(br, perm).text()} is outside the generator span"
                 )
         moved = ctx.image(perm)
-        table[(i, j)] = dict(sorted((moved[k] - n, c) for k, c in rows[key].items()))
+        table[(i, j)] = dict(sorted((moved[n + k] - n, c) for k, c in rows[key].items()))
     return StructureConstants(metric, sign, labels, table)
 
 
@@ -736,62 +723,48 @@ class AlgebraElement:
         return (self.theta_plus[0][0], self.theta_minus[0][0], self.theta_cross[0][0])
 
 
-def transform_generators(alg: WeylAlgebra, S, kind: str, mu: int = 0, nu: int = 0) -> AlgebraElement:
+def transform_generators(metric: Metric, sign: int, S, kind: str, mu: int = 0, nu: int = 0,
+                         make_context=ExactContext) -> AlgebraElement:
     """Exact image of a generator under the linear substitution given by S.
 
     S is a 2N x 2N rational matrix in the row convention (p' x') = (p x) S with
     blocks ((Pi, Xi), (Theta, Lambda)); it must satisfy the symplectic condition
     exactly over the rationals.  The substituted generator is re-expanded over
-    the generator basis by exact linear solve.
+    the generators of `make_context(metric, sign)`.
     """
-    n = alg.dim
+    n = metric.dim
     S = _frac_matrix(S)
-    if not is_symplectic_exact(S, alg.metric):
+    if not is_symplectic_exact(S, metric):
         raise NotSymplectic("substitution matrix fails the exact symplectic condition")
-    p_new = []
-    x_new = []
-    for j in range(n):
-        pj = alg.zero()
-        xj = alg.zero()
-        for i in range(n):
-            pj = pj + alg.p(i) * S[i][j] + alg.x(i) * S[n + i][j]
-            xj = xj + alg.p(i) * S[i][n + j] + alg.x(i) * S[n + i][n + j]
-        p_new.append(pj)
-        x_new.append(xj)
-    image = _quadratic(kind, p_new[mu], p_new[nu], x_new[mu], x_new[nu])
-    labels, polys = generator_basis(alg)
-    coeffs = ExactSpanSolver(polys).solve(image)
-    if coeffs is None:
+    ctx = make_context(metric, sign)
+    alg = ctx.alg
+
+    def column(j):  # the image of p_j (j < N) or of x_{j-N}
+        return sum((alg.p(i) * S[i][j] + alg.x(i) * S[n + i][j] for i in range(n)), alg.zero())
+
+    row = ctx.generator_row(_quadratic(kind, column(mu), column(nu), column(n + mu), column(n + nu)))
+    if row is None:
         raise SpanFailure("transformed generator left the algebra span")
-    tp = [[Fraction(0)] * n for _ in range(n)]
-    tm = [[Fraction(0)] * n for _ in range(n)]
-    tx = [[Fraction(0)] * n for _ in range(n)]
-    for label, c in zip(labels, coeffs):
+    theta = {k: [[Fraction(0)] * n for _ in range(n)] for k in "+-x"}
+    for index, c in row.items():
         if not c.is_rational():
             raise SpanFailure("transformed coefficients are not real rationals")
-        val = c.as_fraction()
-        k, a, b = label
-        if k == "x":
-            tx[a][b] = val
+        k, a, b = ctx.labels[index]
+        if k == "x" or a == b:
+            theta[k][a][b] = c.as_fraction()
         else:
             # theta matrices use the full tensor-sum convention, so a basis
             # coefficient on the off-diagonal pair (a, b) splits evenly
-            tgt = tp if k == "+" else tm
-            if a == b:
-                tgt[a][a] = val
-            else:
-                tgt[a][b] = val / 2
-                tgt[b][a] = val / 2
-    return AlgebraElement(alg.metric, tp, tm, tx)
+            theta[k][a][b] = theta[k][b][a] = c.as_fraction() / 2
+    return AlgebraElement(metric, theta["+"], theta["-"], theta["x"])
 
 
 def engine_transform_rows(S):
-    """Exact 1D transformation law of the generator triple under S (row per kind)."""
-    alg = WeylAlgebra(EUCLIDEAN_1D, +1)
-    rows = {}
-    for kind in ("+", "-", "x"):
-        rows[kind] = transform_generators(alg, S, kind).triple()
-    return rows
+    """Exact 1D transformation law of the generator triple under S (row per kind),
+    the three kinds expanded in one context."""
+    make_context = functools.cache(ExactContext)
+    return {kind: transform_generators(EUCLIDEAN_1D, +1, S, kind, make_context=make_context).triple()
+            for kind in ("+", "-", "x")}
 
 
 def printed_transform_rows(S):
@@ -807,17 +780,3 @@ def printed_transform_rows(S):
         "-": (half * (pi * pi + th * th), -half * (xi * xi - la * la), pi * th - xi * la),
         "x": (pi * xi + th * la, pi * xi - th * la, pi * la + th * xi),
     }
-
-
-def verify_transform_law(S) -> dict:
-    """Compare printed vs engine-derived rows of the 1D transformation law."""
-    engine = engine_transform_rows(S)
-    printed = printed_transform_rows(_frac_matrix(S))
-    rows = {}
-    for kind in ("+", "-", "x"):
-        rows[kind] = {
-            "printed": printed[kind],
-            "engine": engine[kind],
-            "holds": printed[kind] == engine[kind],
-        }
-    return rows

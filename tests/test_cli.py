@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import lctkit
-from lctkit import fock, hermite, metaplectic, symplectic
+from lctkit import fock, hermite, metaplectic
 from lctkit.cli import _wavefunction_csv, main
 
 
@@ -339,9 +340,17 @@ def test_expmap_malformed(runner):
     ("signature", "10", "signature must be [n_plus, n_minus]"),
     ("signature", [0.9, 0.2], "each signature entry must be an integer"),
     ("signature", [1, "x"], "bad expmap input"),
+    ("signature", [True, False], "each signature entry must be a JSON number, got true"),
+    ("signature", ["1", "0"], 'each signature entry must be a JSON number, got "1"'),
     ("dim", 1.5, "dim must be an integer"),
-    ("dim", "1.5", "dim must be an integer"),
-    ("dim", [1], "bad expmap input"),
+    ("dim", "1.5", 'dim must be a JSON number, got "1.5"'),
+    ("dim", "1", 'dim must be a JSON number, got "1"'),
+    ("dim", True, "dim must be a JSON number, got true"),
+    ("dim", [1], "dim must be a JSON number, got [1]"),
+    ("theta_plus", "1", 'theta_plus must be a JSON number, got "1"'),
+    ("theta_minus", [[False]], "theta_minus must be a JSON number, got false"),
+    ("theta_cross", [[0.1, None]], "theta_cross must be a JSON number, got null"),
+    ("theta_cross", [[[0.1]]], "theta_cross must be a JSON number, got [0.1]"),
 ])
 def test_expmap_signature_and_dim_must_be_integral(runner, field, value, message):
     spec = {"dim": 1, "signature": [1, 0], "theta_plus": 0.0, "theta_minus": 0.0,
@@ -352,8 +361,8 @@ def test_expmap_signature_and_dim_must_be_integral(runner, field, value, message
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("dim,signature", [(1, [1, 0]), (1.0, [1.0, 0.0]), ("1", ["1", "0"]),
-                                           ("2", [1, 1])])
+@pytest.mark.parametrize("dim,signature", [(1, [1, 0]), (1.0, [1.0, 0.0]), (2, [1, 1]),
+                                           (2.0, [1, 1.0])])
 def test_expmap_accepts_integral_spellings(runner, dim, signature):
     n = int(float(dim))
     spec = {"dim": dim, "signature": signature, "theta_plus": [[0.0] * n] * n,
@@ -473,11 +482,18 @@ def test_non_positive_tol_is_usage_error(runner, check, tol):
     assert "tol must be positive" in result.output
 
 
-# the cutoff as written in the spec file, and the exit code it must give
-@pytest.mark.parametrize(
-    "cutoff,code", [("64.5", 2), ('"64.5"', 2), ("64", 0), ("64.0", 0), ("1e2", 0), ('"64"', 0)]
-)
-def test_transform_spec_cutoff_must_be_an_integer(runner, tmp_path, cutoff, code):
+# the cutoff as written in the spec file, the exit code it must give and the
+# refusal's message
+@pytest.mark.parametrize("cutoff,code,message", [
+    ("64.5", 2, "cutoff must be an integer"),
+    ('"64.5"', 2, 'field cutoff must be a JSON number, got "64.5"'),
+    ('"64"', 2, 'field cutoff must be a JSON number, got "64"'),
+    ("true", 2, "field cutoff must be a JSON number, got true"),
+    ("64", 0, None),
+    ("64.0", 0, None),
+    ("1e2", 0, None),
+])
+def test_transform_spec_cutoff_must_be_an_integer(runner, tmp_path, cutoff, code, message):
     wf_path = str(tmp_path / "wf.csv")
     _write_ground_state(runner, wf_path)
     spec = tmp_path / "spec.json"
@@ -485,7 +501,32 @@ def test_transform_spec_cutoff_must_be_an_integer(runner, tmp_path, cutoff, code
     result = runner.invoke(main, ["transform", "--input", wf_path, "--spec", str(spec)])
     assert result.exit_code == code, result.output
     if code:
-        assert "cutoff must be an integer" in result.output
+        assert message in result.output
+
+
+@pytest.mark.parametrize("field", [k for k in _VALID_SPEC if k != "cutoff"])
+@pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5], {"v": 0.5}])
+def test_transform_spec_fields_must_be_json_numbers(runner, tmp_path, field, value):
+    wf_path = str(tmp_path / "wf.csv")
+    _write_ground_state(runner, wf_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_VALID_SPEC, **{field: value})))
+    result = runner.invoke(main, ["transform", "--input", wf_path, "--spec", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    want = f"transform spec field {field} must be a JSON number, got {json.dumps(value)}"
+    assert want in result.output
+
+
+def test_transform_spec_integer_too_large_for_a_float_is_usage_error(runner, tmp_path):
+    wf_path = str(tmp_path / "wf.csv")
+    _write_ground_state(runner, wf_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_VALID_SPEC, X="@")).replace('"@"', "1" + "0" * 400))
+    result = runner.invoke(main, ["transform", "--input", wf_path, "--spec", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "bad transform spec" in result.output
 
 
 @pytest.mark.parametrize("grid", ["--grid=-1:1:3", None])
@@ -526,41 +567,41 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _peak_traced_bytes(runner, args):
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+# one cutoff x cutoff complex array at cutoff 1024 is 16 MiB; the parity
+# factors and the leading rows stay below it, a dense U (or U A U+) on top of
+# them does not
+_DENSE_CUTOFF = 1024
+_DENSE_BYTES = _DENSE_CUTOFF ** 2 * np.dtype(complex).itemsize
+
+
 @pytest.mark.parametrize("angles", ["0,0,0", "0.3,-0.2,0.25"])
-def test_verify_never_forms_the_dense_unitary(runner, monkeypatch, angles):
-    # the checks judge the leading cutoff/4 block from the parity factors; a
-    # change that assembles the cutoff x cutoff U on this path fails here
-    args = ["verify", "--homomorphism", "--basis-law", "--cutoff", "256", "--angles", angles]
-    plain = runner.invoke(main, args)
-
-    def refuse(self):
-        raise AssertionError("the dense unitary was formed")
-
-    monkeypatch.setattr(metaplectic.UnitaryLCT, "U", property(refuse))
-    with pytest.raises(AssertionError, match="dense unitary"):
-        metaplectic.build_unitary(symplectic.ThetaAngles.one_dim(0, 0, 0), 1.0, 32).U
-    patched = runner.invoke(main, args)
-    assert plain.exit_code == patched.exit_code == 0, patched.output
-    assert patched.stdout_bytes == plain.stdout_bytes
+def test_verify_never_forms_the_dense_unitary(runner, angles):
+    # the checks judge the leading cutoff/4 block from the parity factors
+    args = ["verify", "--homomorphism", "--basis-law", "--cutoff", str(_DENSE_CUTOFF),
+            "--angles", angles]
+    assert _peak_traced_bytes(runner, args) < _DENSE_BYTES
 
 
-def test_transform_never_forms_the_dense_unitary(runner, monkeypatch, tmp_path):
+def test_transform_never_forms_the_dense_unitary(runner, tmp_path):
     # transform applies U to the coefficient vector from the parity factors
     wf_path = str(tmp_path / "wf.csv")
     _write_ground_state(runner, wf_path, n=1)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": 64,
+    spec.write_text(json.dumps({"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": _DENSE_CUTOFF,
                                 "theta_plus": 0.3, "theta_minus": -0.2, "theta_cross": 0.25}))
     args = ["--format", "json", "transform", "--input", wf_path, "--spec", str(spec)]
-    plain = runner.invoke(main, args)
-
-    def refuse(self):
-        raise AssertionError("the dense unitary was formed")
-
-    monkeypatch.setattr(metaplectic.UnitaryLCT, "U", property(refuse))
-    patched = runner.invoke(main, args)
-    assert plain.exit_code == patched.exit_code == 0, patched.output
-    assert patched.stdout_bytes == plain.stdout_bytes
+    assert _peak_traced_bytes(runner, args) < _DENSE_BYTES
 
 
 def test_wavefunction_csv_renders_each_field_as_its_float_repr():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from lct_oracles import hermite_polynomial
 
 from lctkit.hermite import (
     BasisParams,
@@ -13,7 +14,6 @@ from lctkit.hermite import (
     NotNormalized,
     SampledWavefunction,
     dispersion_estimate,
-    hermite_polynomial,
     phi,
     phi_tilde,
     project,

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lct_oracles import conjugate, unitary_matrix
 
 from lctkit.fock import CutoffTooSmall, _dense, dispersion_matrices
 from lctkit.metaplectic import (
     NonPositiveDispersion,
     UnitaryLCT,
     build_unitary,
-    conjugate,
     generator_bands,
     position_convention_unitary,
     quadrature_bands,
@@ -41,7 +41,7 @@ def reduced_quadratures(cutoff):
 
 def test_zero_angles_give_identity():
     u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32)
-    assert np.array_equal(u.U.matrix, np.eye(32))
+    assert np.array_equal(unitary_matrix(u), np.eye(32))
 
 
 def test_plus_direction_is_diagonal_phase():
@@ -50,9 +50,9 @@ def test_plus_direction_is_diagonal_phase():
     u = build_unitary(ThetaAngles.one_dim(t, 0, 0), 2.0, cutoff)
     n = np.arange(cutoff - 1)
     want = np.exp(1j * t * (2 * n + 1) / 4)
-    got = np.diag(u.U.matrix)[: cutoff - 1]
+    got = np.diag(unitary_matrix(u))[: cutoff - 1]
     assert np.max(np.abs(got - want)) < 1e-14
-    off = u.U.matrix - np.diag(np.diag(u.U.matrix))
+    off = unitary_matrix(u) - np.diag(np.diag(unitary_matrix(u)))
     assert np.max(np.abs(off)) == 0.0
 
 
@@ -60,7 +60,7 @@ def test_plus_direction_is_diagonal_phase():
 def test_unitarity(cutoff):
     for angles in ANGLE_SAMPLES:
         u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
-        defect = np.max(np.abs(u.U.matrix.conj().T @ u.U.matrix - np.eye(cutoff)))
+        defect = np.max(np.abs(unitary_matrix(u).conj().T @ unitary_matrix(u) - np.eye(cutoff)))
         assert defect < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_homomorphism_first_order_direction():
     assert report["matrix"]["Theta"] == pytest.approx(-np.sin(t / 2), abs=1e-12)
     p_hat, x_hat = reduced_quadratures(64)
     u = build_unitary(ThetaAngles.one_dim(t, 0, 0), 1.0, 64)
-    lhs = u.U.matrix @ p_hat @ u.U.matrix.conj().T
+    lhs = unitary_matrix(u) @ p_hat @ unitary_matrix(u).conj().T
     rhs = np.cos(t / 2) * p_hat - np.sin(t / 2) * x_hat
     assert np.max(np.abs((lhs - rhs)[:16, :16])) < 1e-6
 
@@ -144,8 +144,8 @@ def test_cross_derivative_matches_bracket():
     up = build_unitary(ThetaAngles.one_dim(0, 0, h), 1.0, 64)
     dn = build_unitary(ThetaAngles.one_dim(0, 0, -h), 1.0, 64)
     deriv = (
-        up.U.matrix @ p_hat @ up.U.matrix.conj().T
-        - dn.U.matrix @ p_hat @ dn.U.matrix.conj().T
+        unitary_matrix(up) @ p_hat @ unitary_matrix(up).conj().T
+        - unitary_matrix(dn) @ p_hat @ unitary_matrix(dn).conj().T
     ) / (2 * h)
     assert np.max(np.abs((deriv + 0.5 * p_hat)[:16, :16])) < 1e-5
 
@@ -158,8 +158,8 @@ def test_plus_and_minus_derivatives_match_brackets():
         up = build_unitary(ThetaAngles.one_dim(*direction), 1.0, 64)
         dn = build_unitary(ThetaAngles.one_dim(*[-v for v in direction]), 1.0, 64)
         deriv = (
-            up.U.matrix @ p_hat @ up.U.matrix.conj().T
-            - dn.U.matrix @ p_hat @ dn.U.matrix.conj().T
+            unitary_matrix(up) @ p_hat @ unitary_matrix(up).conj().T
+            - unitary_matrix(dn) @ p_hat @ unitary_matrix(dn).conj().T
         ) / (2 * h)
         assert np.max(np.abs((deriv - want * x_hat)[:16, :16])) < 1e-5
 
@@ -172,7 +172,7 @@ def test_one_parameter_subgroups():
         ua = build_unitary(ThetaAngles.one_dim(*a), 1.0, 64)
         ub = build_unitary(ThetaAngles.one_dim(*b), 1.0, 64)
         uab = build_unitary(ThetaAngles.one_dim(*ab), 1.0, 64)
-        assert np.max(np.abs(ua.U.matrix @ ub.U.matrix - uab.U.matrix)) < 1e-10
+        assert np.max(np.abs(unitary_matrix(ua) @ unitary_matrix(ub) - unitary_matrix(uab))) < 1e-10
 
 
 def test_composition_of_conjugation_actions():
@@ -185,7 +185,7 @@ def test_composition_of_conjugation_actions():
     s2 = exp_sl2(from_angles(t2, EUCLIDEAN_1D)).full()
     s12 = s1 @ s2
     p_hat, x_hat = reduced_quadratures(96)
-    u12 = u1.U.matrix @ u2.U.matrix
+    u12 = unitary_matrix(u1) @ unitary_matrix(u2)
     lhs = u12 @ p_hat @ u12.conj().T
     rhs = s12[0, 0] * p_hat + s12[1, 0] * x_hat
     assert np.max(np.abs((lhs - rhs)[:24, :24])) < 1e-8
@@ -246,10 +246,10 @@ def test_basis_transformation_printed_first_rows_fail_off_identity():
 
 def test_position_convention_bridge_is_unitary_and_fixes_diagonal():
     u = build_unitary(ThetaAngles.one_dim(0.7, 0, 0), 1.0, 32)
-    bridged = position_convention_unitary(u).U.matrix
+    bridged = unitary_matrix(position_convention_unitary(u))
     assert np.max(np.abs(bridged.conj().T @ bridged - np.eye(32))) < 1e-12
     # diagonal unitaries are unchanged by the diagonal phase conjugation
-    assert np.max(np.abs(bridged - u.U.matrix)) < 1e-15
+    assert np.max(np.abs(bridged - unitary_matrix(u))) < 1e-15
 
 
 def test_position_convention_bridge_matches_the_dense_phase_conjugation():
@@ -258,8 +258,8 @@ def test_position_convention_bridge_matches_the_dense_phase_conjugation():
         phases = 1j ** np.arange(cutoff)
         for angles in ANGLE_SAMPLES + [(0.0, -0.6, 0.0), (0.0, 0.0, 0.7), (-1.3, 0.0, 0.0)]:
             u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
-            want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
-            got = position_convention_unitary(u).U.matrix
+            want = (phases[:, None] * unitary_matrix(u)) * phases.conj()[None, :]
+            got = unitary_matrix(position_convention_unitary(u))
             assert np.max(np.abs(got - want)) <= 1e-12, (cutoff, angles)
 
 
@@ -271,7 +271,7 @@ def test_position_convention_runs_the_factor_gate_once_and_applies_d_u_d_dagger(
     bridged = position_convention_unitary(u)
     assert len(gated) == 1
     phases = 1j ** np.arange(64)
-    want = (phases[:, None] * u.U.matrix) * phases.conj()[None, :]
+    want = (phases[:, None] * unitary_matrix(u)) * phases.conj()[None, :]
     re, im = np.random.default_rng(5).normal(size=(2, 64))
     v = re + 1j * im
     assert np.max(np.abs(bridged.apply(v) - want @ v)) <= 1e-12

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lct_oracles import symmetric_form
+from lct_oracles import symmetric_form, verify_transform_law
 
 from lctkit import weyl
 from lctkit.scalars import GaussianRational, I, ONE, ZERO
@@ -32,13 +32,10 @@ from lctkit.weyl import (
     commutator,
     dispersion_generators,
     engine_transform_rows,
-    generator_basis,
     printed_transform_rows,
     raw_ladder,
     relabel_modes,
     transform_generators,
-    verify_identity,
-    verify_transform_law,
 )
 
 ALG = WeylAlgebra(EUCLIDEAN_1D, +1)
@@ -131,6 +128,47 @@ def test_bracket_is_bilinear_antisymmetric_jacobi(seed):
     assert jac.is_zero()
 
 
+# every signature with N <= 4, both commutator conventions
+_SIGNATURES_AND_SIGNS = [((n_plus, n - n_plus), sign) for n in range(1, 5)
+                         for n_plus in range(n, -1, -1) for sign in (1, -1)]
+
+
+@st.composite
+def _elements(draw, alg, max_terms=4):
+    """Up to max_terms words of degree <= 2 in x and p, each times B^(k/2) for
+    k <= 2 and a small Q(i, sqrt2) coefficient: elements of degree <= 2."""
+    poly = alg.zero()
+    letters = st.tuples(st.sampled_from("xp"), st.integers(0, alg.dim - 1))
+    parts = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    for _ in range(draw(st.integers(1, max_terms))):
+        word = alg.word(*draw(st.lists(letters, max_size=2)))
+        coeff = GaussianRational(*(draw(parts) for _ in range(4)))
+        poly = poly + word * alg.dispersion_scale(draw(st.integers(0, 2))) * coeff
+    return poly
+
+
+@pytest.mark.parametrize("signature,sign", _SIGNATURES_AND_SIGNS, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bracket_is_antisymmetric_and_satisfies_jacobi_on_random_elements(signature, sign, data):
+    alg = WeylAlgebra(Metric(*signature), sign)
+    a, b, c = (data.draw(_elements(alg)) for _ in range(3))
+    assert commutator(a, b) == -commutator(b, a)
+    jacobi = (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
+              + commutator(c, commutator(a, b)))
+    assert jacobi.is_zero()
+
+
+@pytest.mark.parametrize("signature,sign", _SIGNATURES_AND_SIGNS, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_adjoint_is_an_involution_and_reverses_products(signature, sign, data):
+    alg = WeylAlgebra(Metric(*signature), sign)
+    a, b = data.draw(_elements(alg)), data.draw(_elements(alg))
+    assert a.adjoint().adjoint() == a
+    assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+
+
 # -- generators and ladders ---------------------------------------------------
 
 
@@ -186,41 +224,48 @@ def test_index_out_of_range():
         build_generator(ALG, "+", 0, 3)
 
 
-# -- verify_identity ----------------------------------------------------------
+# -- identities: judged by ==, reported by their residual lhs - rhs ----------
 
 
-def test_verify_identity_generator_bracket():
-    res = verify_identity(
-        commutator(build_generator(ALG, "+"), build_generator(ALG, "-")),
-        build_generator(ALG, "x") * I,
-    )
-    assert res.holds and res.residual.is_zero()
+def test_identity_generator_bracket_holds():
+    lhs = commutator(build_generator(ALG, "+"), build_generator(ALG, "-"))
+    rhs = build_generator(ALG, "x") * I
+    assert lhs == rhs and (lhs - rhs).is_zero()
 
 
-def test_verify_identity_number_operator_forms():
+def test_identity_number_operator_forms_hold():
     jp = dispersion_generators(ALG)["+"]
     b = ALG.dispersion_scale(2)
     zm, zp = build_ladder(ALG, "-"), build_ladder(ALG, "+")
-    assert verify_identity(jp, b * (zp * zm * 2 + 1)).holds
-    assert verify_identity(jp, b * (zm * zp * 2 - 1)).holds
+    assert jp == b * (zp * zm * 2 + 1)
+    assert jp == b * (zm * zp * 2 - 1)
 
 
-def test_verify_identity_zero():
-    res = verify_identity(ALG.zero(), ALG.zero())
-    assert res.holds and res.residual.is_zero()
+def test_identity_zero_holds_and_mixed_conventions_do_not_compare():
+    assert ALG.zero() == ALG.zero() and (ALG.zero() - ALG.zero()).is_zero()
+    other = WeylAlgebra(EUCLIDEAN_1D, -1)
+    assert ALG.zero() != other.zero()
+    with pytest.raises(ConventionMismatch):
+        ALG.x() - other.x()
 
 
-def test_verify_identity_reports_residual():
-    res = verify_identity(ALG.x(), ALG.p())
-    assert not res.holds
-    assert res.residual == ALG.x() - ALG.p()
+def test_identity_failure_reports_its_residual():
+    lhs, rhs = ALG.x(), ALG.p()
+    assert lhs != rhs
+    assert (lhs - rhs).terms == {(0, (1,), (0,)): ONE, (0, (0,), (1,)): -ONE}
+    assert (lhs - rhs).text() == "(-1)*p + x"
 
 
 # -- exact span solving -------------------------------------------------------
 
 
+def _generator_polys(alg):
+    """The generators in `generator_labels` order, one `build_generator` each."""
+    return [build_generator(alg, *label) for label in weyl.generator_labels(alg.dim)]
+
+
 def test_span_solver_roundtrip():
-    labels, polys = generator_basis(WeylAlgebra(Metric(2, 0), -1))
+    polys = _generator_polys(WeylAlgebra(Metric(2, 0), -1))
     solver = ExactSpanSolver(polys)
     target = polys[0] * Fraction(3, 7) - polys[5] * I + polys[-1] * 2
     coeffs = solver.solve(target)
@@ -233,8 +278,7 @@ def test_span_solver_roundtrip():
 
 def test_span_solver_detects_outside_vector():
     alg = WeylAlgebra(Metric(2, 0), -1)
-    _, polys = generator_basis(alg)
-    solver = ExactSpanSolver(polys)
+    solver = ExactSpanSolver(_generator_polys(alg))
     assert solver.solve(alg.x(0)) is None
 
 
@@ -655,7 +699,8 @@ _ALL_SIGNATURES = [(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range
 @functools.lru_cache(maxsize=None)
 def _pairwise_closure(n_plus, n_minus, sign):
     """The oracle: one commutator and one solve over the generators per label pair."""
-    labels, polys = generator_basis(WeylAlgebra(Metric(n_plus, n_minus), sign))
+    alg = WeylAlgebra(Metric(n_plus, n_minus), sign)
+    labels, polys = weyl.generator_labels(alg.dim), _generator_polys(alg)
     solver = ExactSpanSolver(polys)
     table = {}
     for i, j in itertools.combinations(range(len(polys)), 2):
@@ -751,18 +796,18 @@ def _random_rational_symplectic(rng):
 
 
 def test_transform_identity_is_identity():
-    el = transform_generators(ALG, [[1, 0], [0, 1]], "+")
+    el = transform_generators(EUCLIDEAN_1D, +1, [[1, 0], [0, 1]], "+")
     assert el.triple() == (1, 0, 0)
 
 
 def test_transform_rotation_fixes_plus_generator():
     s = _pythagorean_rotation(Fraction(3, 5), Fraction(4, 5))
-    assert transform_generators(ALG, s, "+").triple() == (1, 0, 0)
+    assert transform_generators(EUCLIDEAN_1D, +1, s, "+").triple() == (1, 0, 0)
 
 
 def test_transform_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
-        transform_generators(ALG, [[2, 0], [0, 2]], "+")
+        transform_generators(EUCLIDEAN_1D, +1, [[2, 0], [0, 2]], "+")
 
 
 def test_published_third_row_matches_engine_on_random_matrices():
@@ -847,11 +892,10 @@ def test_transform_composition_law():
 
 
 def test_transform_multidim_stays_in_span():
-    alg = WeylAlgebra(Metric(2, 0), -1)
     # embedded planar rotation acting on index pair; exact symplectic over Q
     c, s = Fraction(3, 5), Fraction(4, 5)
     S = [[c, 0, s, 0], [0, 1, 0, 0], [-s, 0, c, 0], [0, 0, 0, 1]]
-    el = transform_generators(alg, S, "+", 0, 0)
+    el = transform_generators(Metric(2, 0), -1, S, "+", 0, 0)
     assert isinstance(el, AlgebraElement)
     assert el.theta_plus[1][1] == 0
     # rotations in the (p0, x0) plane preserve the 00 plus-generator
@@ -898,7 +942,8 @@ def _random_exact_symplectic(rng, metric):
         a, b = rng.sample(range(n), 2)
         if kind == 0:
             if eta[a] == eta[b]:
-                c, si = rng.choice([(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))])
+                c, si = rng.choice([(Fraction(3, 5), Fraction(4, 5)),
+                                    (Fraction(5, 13), Fraction(12, 13))])
             else:
                 c, si = _COSH, rng.choice([_SINH, -_SINH])
             f = _mode_mixer(metric, a, b, c, si)
@@ -931,8 +976,7 @@ def _congruence(s, label, n):
     """S' A S'^T for the generator's form A, in the (x, p) order of A."""
     src = [(i + n) % (2 * n) for i in range(2 * n)]  # (x, p) index -> (p, x) index
     s_xp = [[s[src[i]][src[j]] for j in range(2 * n)] for i in range(2 * n)]
-    form = _matmul(_matmul(s_xp, symmetric_form(label, n)), [list(c) for c in zip(*s_xp)])
-    return form
+    return _matmul(_matmul(s_xp, symmetric_form(label, n)), [list(c) for c in zip(*s_xp)])
 
 
 def _element_form(el, n):
@@ -949,23 +993,16 @@ def _element_form(el, n):
     return out
 
 
-def _law_labels(n):
-    return weyl.generator_labels(n)
-
-
-def _transform(metric, sign, s, label):
-    return transform_generators(WeylAlgebra(metric, sign), s, *label)
-
-
 def _transform_element(metric, sign, s, el):
     """The image of an algebra element: its tensor sums mapped term by term."""
     n = metric.dim
-    acc = {name: [[Fraction(0)] * n for _ in range(n)] for name in ("theta_plus", "theta_minus", "theta_cross")}
+    names = ("theta_plus", "theta_minus", "theta_cross")
+    acc = {name: [[Fraction(0)] * n for _ in range(n)] for name in names}
     for kind, theta in (("+", el.theta_plus), ("-", el.theta_minus), ("x", el.theta_cross)):
         for a in range(n):
             for b in range(n):
                 if theta[a][b]:
-                    image = _transform(metric, sign, s, (kind, a, b))
+                    image = transform_generators(metric, sign, s, kind, a, b)
                     for name in acc:
                         for i in range(n):
                             for j in range(n):
@@ -982,8 +1019,8 @@ def test_transform_law_is_the_congruence_of_the_symmetric_form(signature, sign):
     for _ in range(2):
         s = _random_exact_symplectic(rng, metric)
         assert _is_symplectic(s, metric) and s != _eye(2 * n)
-        for label in _law_labels(n):
-            el = _transform(metric, sign, s, label)
+        for label in weyl.generator_labels(n):
+            el = transform_generators(metric, sign, s, *label)
             assert _element_form(el, n) == _congruence(s, label, n), label
 
 
@@ -994,8 +1031,8 @@ def test_transform_law_composes_over_products(signature):
     rng = random.Random(sum(signature) * 31 + signature[1])
     s1, s2 = _random_exact_symplectic(rng, metric), _random_exact_symplectic(rng, metric)
     for label in [("+", 0, 1), ("-", 1, 1), ("x", 1, 0)]:
-        both = _transform(metric, -1, _matmul(s1, s2), label)
-        stepwise = _transform_element(metric, -1, s1, _transform(metric, -1, s2, label))
+        both = transform_generators(metric, -1, _matmul(s1, s2), *label)
+        stepwise = _transform_element(metric, -1, s1, transform_generators(metric, -1, s2, *label))
         assert both == stepwise, label
 
 
@@ -1008,7 +1045,7 @@ def test_transform_law_oracle_pins_the_row_convention():
     assert _is_symplectic(s, metric)
     st = [list(c) for c in zip(*s)]
     for label in [("+", 0, 0), ("-", 0, 1), ("x", 1, 0)]:
-        form = _element_form(_transform(metric, -1, s, label), 3)
+        form = _element_form(transform_generators(metric, -1, s, *label), 3)
         assert form == _congruence(s, label, 3) != _congruence(st, label, 3), label
 
 
