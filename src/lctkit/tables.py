@@ -13,10 +13,8 @@ applies the owning convention and passes the builders a `weyl.ExactContext`.
 The index tuples fall into orbits under the permutations of modes that keep
 each signature block, and every tensor-table line is covariant under them
 (eta is diagonal).  So a builder runs only at each orbit's representative
-tuple, and each line is judged there, by `lhs == rhs`.  A failed line gets
-its residual, its expansion and their coefficient texts once; every other
-tuple of the orbit relabels the monomial keys of those texts and the
-expansion labels, and renders them with `weyl.render_terms`.
+tuple, and each failed line is expanded only there; every other tuple of the
+orbit replays them with `weyl.relabel_modes` and relabelled expansion labels.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from .weyl import (
     commutator,
     dispersion_generators,
     raw_ladder,
-    relabel_terms,
-    render_terms,
+    relabel_modes,
 )
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -318,11 +315,11 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
 
     A table of arity k is checked at every k-tuple over 0..N-1, in
     `itertools.product` order; arity 0 is the empty tuple at N = 1.  Lines
-    are built and judged, and a failed line expanded over the correction
-    basis, only at each mode-permutation orbit's representative
-    (`weyl.mode_orbit`): every line is a tensor expression in the diagonal
-    eta, so the other tuples relabel the representative's coefficient texts
-    by monomial and its expansion labels.  The owning convention sign applies
+    are built, and a failed line expanded over the correction basis, only at
+    each mode-permutation orbit's representative (`weyl.mode_orbit`): every
+    line is a tensor expression in the diagonal eta, so the other tuples
+    relabel the representative's polynomials and expansion labels, and render
+    their texts at their own indices.  The owning convention sign applies
     unless `sign` overrides it.  Builders get `make_context(metric, sign)` as
     `gen`: fresh by default, shared when the caller passes a cached maker.
     """
@@ -338,32 +335,26 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     use_sign = (-1 if arity else +1) if sign is None else sign
     ctx = make_context(metric, use_sign)
     report = TableReport(table, metric, use_sign)
-    lines = {}  # orbit representative -> (line, its failure or None) per printed line
+    lines = {}  # orbit representative -> its (line, lhs, residual) triples
+    expansions = {}  # (representative, line) -> {basis index: coefficient text}, or None
     for indices in itertools.product(range(metric.dim), repeat=arity):
         rep, perm = ctx.orbit(indices)
         if rep not in lines:
-            lines[rep] = [(line, None if lhs == rhs else _failure(ctx, lhs, rhs))
-                          for line, lhs, rhs in builder(ctx.alg, ctx, *rep)]
-        for line, failure in lines[rep]:
+            lines[rep] = [(line, lhs, lhs - rhs) for line, lhs, rhs in builder(ctx.alg, ctx, *rep)]
+        for line, lhs, residual in lines[rep]:
             report.checked += 1
-            if failure is None:
+            if residual.is_zero():
                 continue
-            residual, normal_form, found = failure
-            moved = ctx.image(perm)
+            if (rep, line) not in expansions:
+                coeffs = ctx.solver.solve(lhs)
+                expansions[(rep, line)] = None if coeffs is None else {
+                    k: c.text() for k, c in enumerate(coeffs) if not c.is_zero()
+                }
+            found, moved = expansions[(rep, line)], ctx.image(perm)
             expansion = None if found is None else {
                 ctx.basis_labels[m]: text for m, text in sorted((moved[k], t) for k, t in found.items())
             }
-            normal_form_text = render_terms(relabel_terms(normal_form, perm))
-            report.failed.append(FailedIdentity(line, indices, render_terms(relabel_terms(residual, perm)),
-                                                {"normal_form": normal_form_text, "expansion": expansion}))
+            corrected = {"normal_form": relabel_modes(lhs, perm).text(), "expansion": expansion}
+            residual_text = relabel_modes(residual, perm).text()
+            report.failed.append(FailedIdentity(line, indices, residual_text, corrected))
     return report
-
-
-def _failure(ctx, lhs, rhs) -> tuple:
-    """Coefficient texts of a failed line's residual and left-hand side, by
-    monomial, and its expansion {basis index: text} (None outside the span)."""
-    coeffs = ctx.solver.solve(lhs)
-    found = None if coeffs is None else {k: c.text() for k, c in enumerate(coeffs) if not c.is_zero()}
-    residual = lhs - rhs
-    return ({m: c.text() for m, c in residual.terms.items()},
-            {m: c.text() for m, c in lhs.terms.items()}, found)

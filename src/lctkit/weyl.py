@@ -152,27 +152,6 @@ def _mono_sort_key(mono):
     return (sum(xs) + sum(ps), xs, ps, b2)
 
 
-def render_terms(texts: dict) -> str:
-    """Canonical text of {monomial: coefficient text}, terms in monomial order."""
-    if not texts:
-        return "0"
-    pieces = []
-    for mono in sorted(texts, key=_mono_sort_key):
-        b2, xs, ps = mono
-        factors = ["B" if b2 == 2 else f"B^({Fraction(b2, 2)})"] if b2 else []
-        for q, exps in (("x", xs), ("p", ps)):
-            for mu, e in enumerate(exps):
-                if e:
-                    name = q if len(exps) == 1 else f"{q}{mu}"
-                    factors.append(name if e == 1 else f"{name}^{e}")
-        body, coeff = "*".join(factors), texts[mono]
-        if body:
-            pieces.append(body if coeff == "1" else f"({coeff})*{body}")
-        else:
-            pieces.append(f"({coeff})")
-    return " + ".join(pieces)
-
-
 class WeylPolynomial:
     """Normal-ordered noncommutative polynomial; treat instances as immutable."""
 
@@ -271,7 +250,31 @@ class WeylPolynomial:
 
     def text(self) -> str:
         """Canonical text: terms sorted by monomial order, exact coefficients."""
-        return render_terms({m: c.text() for m, c in self.terms.items()})
+        if not self.terms:
+            return "0"
+        pieces = []
+        for mono in sorted(self.terms, key=_mono_sort_key):
+            c = self.terms[mono]
+            factors = []
+            b2, xs, ps = mono
+            if b2:
+                factors.append("B" if b2 == 2 else f"B^({Fraction(b2, 2)})")
+            for mu, e in enumerate(xs):
+                if e:
+                    name = "x" if self.algebra.dim == 1 else f"x{mu}"
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            for mu, e in enumerate(ps):
+                if e:
+                    name = "p" if self.algebra.dim == 1 else f"p{mu}"
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            body = "*".join(factors)
+            coeff = c.text()
+            if body:
+                piece = body if coeff == "1" else f"({coeff})*{body}"
+            else:
+                piece = f"({coeff})"
+            pieces.append(piece)
+        return " + ".join(pieces)
 
     def __repr__(self):
         return f"WeylPolynomial({self.text()})"
@@ -347,14 +350,11 @@ def relabel_modes(poly: WeylPolynomial, perm) -> WeylPolynomial:
     n, n_plus = alg.dim, alg.metric.n_plus
     if sorted(perm) != list(range(n)) or any((mu < n_plus) != (perm[mu] < n_plus) for mu in range(n)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1} within the signature blocks")
-    return WeylPolynomial(alg, relabel_terms(poly.terms, perm))
-
-
-def relabel_terms(terms: dict, perm) -> dict:
-    """terms with the modes of each monomial key relabelled by perm, values kept."""
-    source = [perm.index(mu) for mu in range(len(perm))]  # mode that lands on each mode
-    return {(b2, tuple(xs[mu] for mu in source), tuple(ps[mu] for mu in source)): c
-            for (b2, xs, ps), c in terms.items()}
+    source = [perm.index(mu) for mu in range(n)]  # mode that lands on each mode
+    return WeylPolynomial(alg, {
+        (b2, tuple(xs[mu] for mu in source), tuple(ps[mu] for mu in source)): c
+        for (b2, xs, ps), c in poly.terms.items()
+    })
 
 
 def mode_orbit(indices: tuple, metric: Metric):
@@ -723,21 +723,19 @@ class AlgebraElement:
         return (self.theta_plus[0][0], self.theta_minus[0][0], self.theta_cross[0][0])
 
 
-def transform_generators(metric: Metric, sign: int, S, kind: str, mu: int = 0, nu: int = 0,
-                         make_context=ExactContext) -> AlgebraElement:
+def transform_generators(ctx: ExactContext, S, kind: str, mu: int = 0, nu: int = 0) -> AlgebraElement:
     """Exact image of a generator under the linear substitution given by S.
 
     S is a 2N x 2N rational matrix in the row convention (p' x') = (p x) S with
     blocks ((Pi, Xi), (Theta, Lambda)); it must satisfy the symplectic condition
     exactly over the rationals.  The substituted generator is re-expanded over
-    the generators of `make_context(metric, sign)`.
+    the generators of ctx, at its metric and sign.
     """
-    n = metric.dim
-    S = _frac_matrix(S)
-    if not is_symplectic_exact(S, metric):
-        raise NotSymplectic("substitution matrix fails the exact symplectic condition")
-    ctx = make_context(metric, sign)
     alg = ctx.alg
+    n = alg.dim
+    S = _frac_matrix(S)
+    if not is_symplectic_exact(S, alg.metric):
+        raise NotSymplectic("substitution matrix fails the exact symplectic condition")
 
     def column(j):  # the image of p_j (j < N) or of x_{j-N}
         return sum((alg.p(i) * S[i][j] + alg.x(i) * S[n + i][j] for i in range(n)), alg.zero())
@@ -756,15 +754,14 @@ def transform_generators(metric: Metric, sign: int, S, kind: str, mu: int = 0, n
             # theta matrices use the full tensor-sum convention, so a basis
             # coefficient on the off-diagonal pair (a, b) splits evenly
             theta[k][a][b] = theta[k][b][a] = c.as_fraction() / 2
-    return AlgebraElement(metric, theta["+"], theta["-"], theta["x"])
+    return AlgebraElement(alg.metric, theta["+"], theta["-"], theta["x"])
 
 
 def engine_transform_rows(S):
     """Exact 1D transformation law of the generator triple under S (row per kind),
     the three kinds expanded in one context."""
-    make_context = functools.cache(ExactContext)
-    return {kind: transform_generators(EUCLIDEAN_1D, +1, S, kind, make_context=make_context).triple()
-            for kind in ("+", "-", "x")}
+    ctx = ExactContext(EUCLIDEAN_1D, +1)
+    return {kind: transform_generators(ctx, S, kind).triple() for kind in ("+", "-", "x")}
 
 
 def printed_transform_rows(S):

@@ -580,7 +580,10 @@ def _peak_traced_bytes(runner, args):
 
 # one cutoff x cutoff complex array at cutoff 1024 is 16 MiB; the parity
 # factors and the leading rows stay below it, a dense U (or U A U+) on top of
-# them does not
+# them does not.  The verify peak was 14.4 MiB, so the headroom is only ~10%,
+# and it does not grow with the cutoff (the factors, the leading rows and a
+# dense U all scale as cutoff^2): a failure may be unrelated memory growth on
+# the verify path rather than a dense unitary.
 _DENSE_CUTOFF = 1024
 _DENSE_BYTES = _DENSE_CUTOFF ** 2 * np.dtype(complex).itemsize
 
@@ -590,7 +593,8 @@ def test_verify_never_forms_the_dense_unitary(runner, angles):
     # the checks judge the leading cutoff/4 block from the parity factors
     args = ["verify", "--homomorphism", "--basis-law", "--cutoff", str(_DENSE_CUTOFF),
             "--angles", angles]
-    assert _peak_traced_bytes(runner, args) < _DENSE_BYTES
+    peak = _peak_traced_bytes(runner, args)
+    assert peak < _DENSE_BYTES, f"traced peak {peak / 2**20:.1f} MiB >= bound {_DENSE_BYTES / 2**20:.0f} MiB"
 
 
 def test_transform_never_forms_the_dense_unitary(runner, tmp_path):
@@ -601,7 +605,8 @@ def test_transform_never_forms_the_dense_unitary(runner, tmp_path):
     spec.write_text(json.dumps({"X": 0.0, "P": 0.0, "B": 0.5, "cutoff": _DENSE_CUTOFF,
                                 "theta_plus": 0.3, "theta_minus": -0.2, "theta_cross": 0.25}))
     args = ["--format", "json", "transform", "--input", wf_path, "--spec", str(spec)]
-    assert _peak_traced_bytes(runner, args) < _DENSE_BYTES
+    peak = _peak_traced_bytes(runner, args)
+    assert peak < _DENSE_BYTES, f"traced peak {peak / 2**20:.1f} MiB >= bound {_DENSE_BYTES / 2**20:.0f} MiB"
 
 
 def test_wavefunction_csv_renders_each_field_as_its_float_repr():

@@ -128,9 +128,9 @@ def test_bracket_is_bilinear_antisymmetric_jacobi(seed):
     assert jac.is_zero()
 
 
-# every signature with N <= 4, both commutator conventions
-_SIGNATURES_AND_SIGNS = [((n_plus, n - n_plus), sign) for n in range(1, 5)
-                         for n_plus in range(n, -1, -1) for sign in (1, -1)]
+# every signature with 1 <= N <= 4, and each with both commutator conventions
+_ALL_SIGNATURES = [(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)]
+_SIGNATURES_AND_SIGNS = [(sig, sign) for sig in _ALL_SIGNATURES for sign in (1, -1)]
 
 
 @st.composite
@@ -692,10 +692,6 @@ def test_jacobi_holds_at_the_largest_signatures_and_reports_plain_ints(signature
 
 # -- the closure on orbits of label pairs -------------------------------------
 
-# every signature with 1 <= N <= 4
-_ALL_SIGNATURES = [(n_plus, n - n_plus) for n in range(1, 5) for n_plus in range(n, -1, -1)]
-
-
 @functools.lru_cache(maxsize=None)
 def _pairwise_closure(n_plus, n_minus, sign):
     """The oracle: one commutator and one solve over the generators per label pair."""
@@ -796,18 +792,18 @@ def _random_rational_symplectic(rng):
 
 
 def test_transform_identity_is_identity():
-    el = transform_generators(EUCLIDEAN_1D, +1, [[1, 0], [0, 1]], "+")
+    el = transform_generators(ExactContext(EUCLIDEAN_1D, +1), [[1, 0], [0, 1]], "+")
     assert el.triple() == (1, 0, 0)
 
 
 def test_transform_rotation_fixes_plus_generator():
     s = _pythagorean_rotation(Fraction(3, 5), Fraction(4, 5))
-    assert transform_generators(EUCLIDEAN_1D, +1, s, "+").triple() == (1, 0, 0)
+    assert transform_generators(ExactContext(EUCLIDEAN_1D, +1), s, "+").triple() == (1, 0, 0)
 
 
 def test_transform_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
-        transform_generators(EUCLIDEAN_1D, +1, [[2, 0], [0, 2]], "+")
+        transform_generators(ExactContext(EUCLIDEAN_1D, +1), [[2, 0], [0, 2]], "+")
 
 
 def test_published_third_row_matches_engine_on_random_matrices():
@@ -895,7 +891,7 @@ def test_transform_multidim_stays_in_span():
     # embedded planar rotation acting on index pair; exact symplectic over Q
     c, s = Fraction(3, 5), Fraction(4, 5)
     S = [[c, 0, s, 0], [0, 1, 0, 0], [-s, 0, c, 0], [0, 0, 0, 1]]
-    el = transform_generators(Metric(2, 0), -1, S, "+", 0, 0)
+    el = transform_generators(ExactContext(Metric(2, 0), -1), S, "+", 0, 0)
     assert isinstance(el, AlgebraElement)
     assert el.theta_plus[1][1] == 0
     # rotations in the (p0, x0) plane preserve the 00 plus-generator
@@ -993,8 +989,9 @@ def _element_form(el, n):
     return out
 
 
-def _transform_element(metric, sign, s, el):
+def _transform_element(ctx, s, el):
     """The image of an algebra element: its tensor sums mapped term by term."""
+    metric = ctx.alg.metric
     n = metric.dim
     names = ("theta_plus", "theta_minus", "theta_cross")
     acc = {name: [[Fraction(0)] * n for _ in range(n)] for name in names}
@@ -1002,7 +999,7 @@ def _transform_element(metric, sign, s, el):
         for a in range(n):
             for b in range(n):
                 if theta[a][b]:
-                    image = transform_generators(metric, sign, s, kind, a, b)
+                    image = transform_generators(ctx, s, kind, a, b)
                     for name in acc:
                         for i in range(n):
                             for j in range(n):
@@ -1016,11 +1013,12 @@ def test_transform_law_is_the_congruence_of_the_symmetric_form(signature, sign):
     metric = Metric(*signature)
     n = metric.dim
     rng = random.Random(100 * signature[0] + 10 * signature[1] + sign)
+    ctx = ExactContext(metric, sign)
     for _ in range(2):
         s = _random_exact_symplectic(rng, metric)
         assert _is_symplectic(s, metric) and s != _eye(2 * n)
         for label in weyl.generator_labels(n):
-            el = transform_generators(metric, sign, s, *label)
+            el = transform_generators(ctx, s, *label)
             assert _element_form(el, n) == _congruence(s, label, n), label
 
 
@@ -1030,9 +1028,10 @@ def test_transform_law_composes_over_products(signature):
     metric = Metric(*signature)
     rng = random.Random(sum(signature) * 31 + signature[1])
     s1, s2 = _random_exact_symplectic(rng, metric), _random_exact_symplectic(rng, metric)
+    ctx = ExactContext(metric, -1)
     for label in [("+", 0, 1), ("-", 1, 1), ("x", 1, 0)]:
-        both = transform_generators(metric, -1, _matmul(s1, s2), *label)
-        stepwise = _transform_element(metric, -1, s1, transform_generators(metric, -1, s2, *label))
+        both = transform_generators(ctx, _matmul(s1, s2), *label)
+        stepwise = _transform_element(ctx, s1, transform_generators(ctx, s2, *label))
         assert both == stepwise, label
 
 
@@ -1044,8 +1043,9 @@ def test_transform_law_oracle_pins_the_row_convention():
     s[0][4] = s[1][3] = Fraction(2)  # x' = x + p B, B symmetric on the + block
     assert _is_symplectic(s, metric)
     st = [list(c) for c in zip(*s)]
+    ctx = ExactContext(metric, -1)
     for label in [("+", 0, 0), ("-", 0, 1), ("x", 1, 0)]:
-        form = _element_form(transform_generators(metric, -1, s, *label), 3)
+        form = _element_form(transform_generators(ctx, s, *label), 3)
         assert form == _congruence(s, label, 3) != _congruence(st, label, 3), label
 
 
