@@ -6,6 +6,8 @@ rendered with Python's shortest round-trip representation (at most 17
 significant digits).  Timing and progress never go to stdout.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input or usage.
+Library refusals exit 2 in one place, `_Group.command_class`, which makes any
+`ValueError` (every lctkit refusal class) a usage error; so any traceback is a bug.
 Printed-table mismatches that come with an engine-verified correction are
 warnings, not failures: the derivation, not the typography, is the contract.
 """
@@ -29,13 +31,20 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 def _write_output(ctx, text: str):
     path = ctx.obj.get("output")
     if path is None:
         click.echo(text, nl=False)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 def _emit_json(ctx, payload) -> None:
@@ -77,10 +86,7 @@ def _read_wavefunction(path: str) -> hermite.SampledWavefunction:
             vals.append(complex(float(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise click.UsageError(f"malformed CSV row {ln!r}: {exc}")
-    try:
-        return hermite.SampledWavefunction(np.array(xs), np.array(vals))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return hermite.SampledWavefunction(np.array(xs), np.array(vals))
 
 
 def _parse_grid(spec: str, params: hermite.BasisParams):
@@ -145,7 +151,18 @@ def _parse_signature(text: str) -> weyl.Metric:
         raise click.UsageError(f"signature must be N_PLUS,N_MINUS: {exc}")
 
 
-@click.group()
+class _Group(click.Group):
+    """The lctkit group: a subcommand's library refusal exits 2 with its usage lines."""
+
+    class command_class(click.Command):  # the class click makes each subcommand with
+        def invoke(self, ctx):
+            try:
+                return super().invoke(ctx)
+            except ValueError as exc:
+                raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write results to this path instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None,
@@ -173,10 +190,7 @@ def basis(ctx, level, grid, x0, p0, b):
         raise click.UsageError("basis index must be non-negative")
     for name, value in (("--x0", x0), ("--p0", p0), ("--b", b)):
         _require_finite(value, name)
-    try:
-        params = hermite.BasisParams(x0, p0, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = hermite.BasisParams(x0, p0, b)
     xs = _parse_grid(grid, params)
     values = hermite.phi(level, xs, params)
     if ctx.obj.get("format") == "json":
@@ -208,27 +222,25 @@ def transform(ctx, input_path, spec_path):
         with open(spec_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         spec = {key: _number(raw[key], f"transform spec field {key}") for key in _SPEC_FIELDS}
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError(f"bad transform spec: {exc}")
     for key, value in spec.items():
         _require_finite(value, f"transform spec field {key}")
     cutoff = _integer(spec["cutoff"], "transform spec cutoff")
-    try:
-        params = hermite.BasisParams(spec["X"], spec["P"], spec["B"])
-        angles = symplectic.ThetaAngles.one_dim(
-            spec["theta_plus"], spec["theta_minus"], spec["theta_cross"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad transform spec: {exc}")
+    params = hermite.BasisParams(spec["X"], spec["P"], spec["B"])
+    angles = symplectic.ThetaAngles.one_dim(
+        spec["theta_plus"], spec["theta_minus"], spec["theta_cross"]
+    )
     if cutoff < 16:
         raise click.UsageError("transform spec needs cutoff >= 16")
     if cutoff > _MAX_CUTOFF:
         raise click.UsageError(f"transform spec cutoff must be <= {_MAX_CUTOFF}")
-    try:
-        before = hermite.dispersion_estimate(wf)
-        expansion = hermite.project(wf, params, cutoff)
-    except (hermite.InsufficientSupport, hermite.NotNormalized) as exc:
-        raise click.UsageError(str(exc))
+    before = hermite.dispersion_estimate(wf)
+    expansion = hermite.project(wf, params, cutoff)
+    weight = expansion.weight()
+    if not abs(weight - 1.0) <= 1e-6:  # dispersion_estimate's bound; NaN fails it too
+        raise click.UsageError(
+            f"cutoff {cutoff} captures input weight {weight!r}, expected 1 within 1e-6")
     unitary = metaplectic.build_unitary(angles, params.B, cutoff)
     new_coeffs = metaplectic.position_convention_unitary(unitary).apply(expansion.coeffs)
     out_wf = hermite.synthesize(
@@ -241,7 +253,7 @@ def transform(ctx, input_path, spec_path):
     moments = {
         "before": dict(zip(("Xbar", "Pbar", "dx2", "dp2"), before)),
         "after": dict(zip(("Xbar", "Pbar", "dx2", "dp2"), after)),
-        "captured_weight": expansion.weight(),
+        "captured_weight": weight,
     }
     if ctx.obj.get("format") == "json":
         payload = _rows_payload(out_wf.grid, out_wf.values)
@@ -251,8 +263,7 @@ def transform(ctx, input_path, spec_path):
         _write_output(ctx, _wavefunction_csv(out_wf.grid, out_wf.values))
         sidecar = json.dumps(moments, indent=2) + "\n"
         if ctx.obj.get("output"):
-            with open(ctx.obj["output"] + ".meta.json", "w", encoding="utf-8") as fh:
-                fh.write(sidecar)
+            _write_text(ctx.obj["output"] + ".meta.json", sidecar)
         else:
             click.echo(sidecar, err=True, nl=False)
 
@@ -356,25 +367,22 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
         raise click.UsageError(f"cutoff must be >= {metaplectic.CHECK_MIN_CUTOFF}")
     started = time.perf_counter()
     checks = []
-    try:
-        metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
-        # one exact context per (metric, sign), made on first use, for this call only
-        make_context = functools.cache(weyl.ExactContext)
-        for name in tables.TABLE_IDS if run_all else table_names:
-            if name not in tables.TABLE_IDS:
-                raise click.UsageError(
-                    f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
-                )
-            checks.append(_table_check(name, metric, make_context))
-        if run_all:
-            checks.append(_closure_check(metric, make_context))
-        u = metaplectic.build_unitary(theta, 1.0, cutoff) if homomorphism or basis_law else None
-        if homomorphism:
-            checks.append(_homomorphism_check(u, tol))
-        if basis_law:
-            checks.append(_basis_law_check(u, tol))
-    except (fock.CutoffTooSmall, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
+    # one exact context per (metric, sign), made on first use, for this call only
+    make_context = functools.cache(weyl.ExactContext)
+    for name in tables.TABLE_IDS if run_all else table_names:
+        if name not in tables.TABLE_IDS:
+            raise click.UsageError(
+                f"unknown table {name!r}; known: {', '.join(tables.TABLE_IDS)}"
+            )
+        checks.append(_table_check(name, metric, make_context))
+    if run_all:
+        checks.append(_closure_check(metric, make_context))
+    u = metaplectic.build_unitary(theta, 1.0, cutoff) if homomorphism or basis_law else None
+    if homomorphism:
+        checks.append(_homomorphism_check(u, tol))
+    if basis_law:
+        checks.append(_basis_law_check(u, tol))
     if not checks:
         raise click.UsageError("nothing selected; use --table, --homomorphism, --basis-law or --all")
     counts = {"pass": 0, "warn": 0, "fail": 0}
@@ -415,15 +423,11 @@ def expmap(ctx, input_path):
             _angle_matrix(raw[key], f"bad expmap input: {key}")
             for key in ("theta_plus", "theta_minus", "theta_cross")
         ))
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError(f"bad expmap input: {exc}")
     if metric.dim != n:
         raise click.UsageError("signature does not match dim")
-    try:
-        m = symplectic.from_angles(theta, metric)
-        s = symplectic.exp_sp(m)
-    except (symplectic.DimensionMismatch, symplectic.ConstraintViolation) as exc:
-        raise click.UsageError(str(exc))
+    s = symplectic.exp_sp(symplectic.from_angles(theta, metric))
     payload = {
         "dim": n,
         "signature": [metric.n_plus, metric.n_minus],
@@ -459,12 +463,9 @@ def rep(ctx, b, cutoff, which):
     """Emit truncated operator matrices as JSON."""
     if cutoff > _REP_MAX_CUTOFF:
         raise click.UsageError(f"rep prints dense matrices; cutoff must be <= {_REP_MAX_CUTOFF}")
-    try:
-        zminus, zplus = fock.ladder_matrices(cutoff)
-        jplus, jminus, jcross = fock.dispersion_matrices(b, cutoff)
-        sigma_p, sigma_x = fock.sigma_operators(b, cutoff)
-    except (fock.CutoffTooSmall, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    zminus, zplus = fock.ladder_matrices(cutoff)
+    jplus, jminus, jcross = fock.dispersion_matrices(b, cutoff)
+    sigma_p, sigma_x = fock.sigma_operators(b, cutoff)
     ops = {
         "zminus": zminus, "zplus": zplus, "jplus": jplus, "jminus": jminus,
         "jcross": jcross, "sigmap": sigma_p, "sigmax": sigma_x,
@@ -483,10 +484,7 @@ def rep(ctx, b, cutoff, which):
 def dispersion(ctx, input_path):
     """Estimate means and dispersions of a sampled wavefunction."""
     wf = _read_wavefunction(input_path)
-    try:
-        xbar, pbar, dx2, dp2 = hermite.dispersion_estimate(wf)
-    except hermite.NotNormalized as exc:
-        raise click.UsageError(str(exc))
+    xbar, pbar, dx2, dp2 = hermite.dispersion_estimate(wf)
     _emit_json(ctx, {"Xbar": xbar, "Pbar": pbar, "dx2": dx2, "dp2": dp2,
                      "uncertainty_product": dx2 * dp2})
 

@@ -225,9 +225,10 @@ def is_symplectic(s: SymplecticMatrix, tol: float) -> bool:
 
 
 def _require_symplectic(s: SymplecticMatrix, tol: float, what: str):
-    # S^T J S scales like max|S_ij|^2, so roundoff in it does too; a nan
-    # defect (overflowed entries) is refused as well
-    defect = s.symplectic_defect() / max(1.0, float(np.max(np.abs(s.full())))) ** 2
+    # S^T J S scales like max|S_ij|^2, so roundoff in it does too; a nan defect
+    # (overflowed entries) is refused as well.  scale ** 2 raises past 1.3e154
+    scale = max(1.0, float(np.max(np.abs(s.full()))))
+    defect = s.symplectic_defect() / scale / scale
     if not defect < tol:
         raise ConstraintViolation(f"{what} has relative symplectic defect {defect:.3e} >= {tol}")
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lctkit
 from lctkit import fock, hermite, metaplectic
@@ -619,3 +621,124 @@ def test_wavefunction_csv_renders_each_field_as_its_float_repr():
     assert _wavefunction_csv(grid, values.real) == "\n".join(
         ["x,re,im"] + [f"{float(x)!r},{float(v)!r},0.0" for x, v in zip(grid, values.real)]
     ) + "\n"
+
+
+# -- refusals: every library ValueError exits 2, never a traceback -------------
+
+# the golden corpus's wavefunction and a spec it passes with exit 0
+_GOLDEN_WF = str(Path(__file__).resolve().parent / "golden" / "inputs" / "wf.csv")
+_GOLDEN_SPEC = {"X": 0.3, "P": 0.2, "B": 0.5, "cutoff": 32,
+                "theta_plus": 0.1, "theta_minus": 0.0, "theta_cross": 0.0}
+
+
+def _transform_args(tmp_path, **fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(_GOLDEN_SPEC, **fields)))
+    return ["transform", "--input", _GOLDEN_WF, "--spec", str(spec)]
+
+
+def _assert_refused(result, message):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+# each of these once raised past the command with exit 1
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field,message", [
+    ("theta_minus", "Eigenvalues did not converge"),
+    ("theta_cross", "Eigenvalues did not converge"),
+    ("theta_plus", "operator is not unitary"),
+    ("P", "cutoff 32 captures input weight nan"),
+])
+def test_transform_extreme_spec_is_usage_error(runner, tmp_path, field, message):
+    result = runner.invoke(main, _transform_args(tmp_path, **{field: 1.7e308}))
+    _assert_refused(result, message)
+    assert "Usage: main transform" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "basis", "transform"])
+def test_unwritable_output_is_usage_error(runner, tmp_path, command):
+    args = {"verify": ["verify", "--table", "Eq16"], "basis": ["basis", "-n", "1"],
+            "transform": _transform_args(tmp_path)}[command]
+    out = str(tmp_path / "missing" / "out")
+    result = runner.invoke(main, ["--output", out, *args])
+    _assert_refused(result, f"cannot write {out}: ")
+
+
+def test_unwritable_transform_sidecar_is_usage_error(runner, tmp_path):
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.csv.meta.json").mkdir()
+    result = runner.invoke(main, ["--output", str(out), *_transform_args(tmp_path)])
+    _assert_refused(result, f"cannot write {out}.meta.json: ")
+
+
+def test_transform_refuses_an_input_the_cutoff_does_not_capture(runner, tmp_path):
+    # the first 16 levels at B = 5 hold 0.9146 of the input's weight
+    result = runner.invoke(main, _transform_args(tmp_path, B=5.0, cutoff=16))
+    _assert_refused(result, "cutoff 16 captures input weight 0.9145")
+    assert "output left" not in result.output
+
+
+def test_transform_refuses_an_output_that_left_the_truncated_space(runner, tmp_path):
+    # the input is captured, but the squeeze moves weight past level 64
+    result = runner.invoke(main, _transform_args(tmp_path, theta_cross=4.0, cutoff=64))
+    _assert_refused(result, "output left the truncated space: norm^2 = 0.9999")
+
+
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]), st.floats()
+)
+
+
+def _assert_no_traceback(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
+# extreme inputs overflow on the way to their refusal
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from([k for k in _GOLDEN_SPEC if k != "cutoff"]),
+                       _ANY_FLOAT, min_size=1, max_size=3),
+       st.sampled_from([16, 32, 64]))
+def test_no_transform_spec_number_gives_a_traceback(fields, cutoff):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("spec.json").write_text(json.dumps(dict(_GOLDEN_SPEC, cutoff=cutoff, **fields)))
+        result = runner.invoke(main, ["transform", "--input", _GOLDEN_WF, "--spec", "spec.json"])
+    _assert_no_traceback(result)
+
+
+# extreme inputs overflow on the way to their refusal
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_ANY_FLOAT, min_size=3, max_size=3), _ANY_FLOAT, st.sampled_from([32, 64]),
+       st.sampled_from([["--homomorphism"], ["--basis-law"], ["--homomorphism", "--basis-law"]]))
+def test_no_verify_angle_or_tol_gives_a_traceback(angles, tol, cutoff, checks):
+    args = ["verify", *checks, "--cutoff", str(cutoff),
+            "--angles=" + ",".join(map(repr, angles)), f"--tol={tol!r}"]
+    _assert_no_traceback(CliRunner().invoke(main, args))
+
+
+@st.composite
+def _expmap_input(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    def symmetric():
+        m = draw(entries)
+        return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+    n_plus = draw(st.integers(0, n))
+    return {"dim": n, "signature": [n_plus, n - n_plus], "theta_plus": symmetric(),
+            "theta_minus": symmetric(), "theta_cross": draw(entries)}
+
+
+# extreme inputs overflow on the way to their refusal
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_expmap_input())
+def test_no_expmap_input_gives_a_traceback(raw):
+    _assert_no_traceback(CliRunner().invoke(main, ["expmap"], input=json.dumps(raw)))
