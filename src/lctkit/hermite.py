@@ -84,7 +84,7 @@ class SampledWavefunction:
         if values.shape != grid.shape:
             raise ValueError("values and grid must have the same length")
         steps = np.diff(grid)
-        if np.any(steps <= 0):
+        if not np.all(steps > 0):  # a NaN step is refused too
             raise ValueError("grid must be strictly ascending")
         h = steps[0]
         if np.max(np.abs(steps - h)) > _UNIFORM_RTOL * max(abs(h), 1.0):
@@ -164,6 +164,8 @@ def _hermite_functions(levels: int, u: np.ndarray):
 
 def _hermite_function(n: int, u) -> np.ndarray:
     """h_n(u): the last level of one recurrence pass."""
+    if n < 0:
+        raise ValueError("quantum number must be non-negative")
     for h in _hermite_functions(n + 1, u):
         pass
     return h
@@ -171,8 +173,6 @@ def _hermite_function(n: int, u) -> np.ndarray:
 
 def phi(n: int, x, params: BasisParams):
     """Basis wavefunction phi_n at coordinate(s) x."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
     x = np.asarray(x, dtype=float)
     a = params.A
     u = (x - params.X) / np.sqrt(2.0 * a)
@@ -183,8 +183,6 @@ def phi(n: int, x, params: BasisParams):
 
 def phi_tilde(n: int, p, params: BasisParams):
     """Momentum-side basis wavefunction at momentum value(s) p."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
     p = np.asarray(p, dtype=float)
     b = params.B
     v = (p - params.P) / np.sqrt(2.0 * b)
@@ -247,7 +245,7 @@ def dispersion_estimate(wf: SampledWavefunction):
     1/sqrt(2 pi) convention.
     """
     norm = wf.norm_squared()
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # NaN fails it too
         raise NotNormalized(f"norm^2 = {norm!r}, expected 1 within 1e-6")
     density = np.abs(wf.values) ** 2
     xbar = float(np.trapezoid(wf.grid * density, wf.grid))

@@ -1,10 +1,10 @@
 """Unitary side of the correspondence on the truncated number basis.
 
 U = exp(i (t+ b+ + t- b- + tx bx)) is built from the Hermitian generator in
-the quarter normalisation b = J/(4B), which makes the construction independent
-of the dispersion scale B; the same angles then exponentiate on the classical
-side to a 2x2 matrix ((Pi, Xi), (Theta, Lambda)), and conjugation by U must
-reproduce that matrix action on the reduced quadratures
+the quarter normalisation b = J/(4B), whose matrix is J's at B = 1/4 for every
+B, so U takes only the angles and the cutoff; the same angles exponentiate on
+the classical side to a 2x2 matrix ((Pi, Xi), (Theta, Lambda)), and conjugation
+by U must reproduce that matrix action on the reduced quadratures
 
     p_hat = (Zminus + Zplus)/sqrt(2),   x_hat = i (Zminus - Zplus)/sqrt(2).
 
@@ -42,10 +42,8 @@ UNITARITY_TOL = 1e-12
 # smallest cutoff whose leading cutoff/4 block the residual checks judge
 CHECK_MIN_CUTOFF = 32
 RATIONALIZE_DENOMINATOR = 10 ** 6
-
-
-class NonPositiveDispersion(ValueError):
-    """Dispersion scales must be positive."""
+# bounds the eigh time and the real parity factors (2 x 8 MiB at 2048)
+MAX_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class UnitaryLCT:
     """Truncated unitary as parity factors: each block is D V e^{iL} V^T D+."""
 
     angles: ThetaAngles
-    B: float
     cutoff: int
     phase: float
     blocks: tuple
@@ -96,10 +93,9 @@ class UnitaryLCT:
         return out
 
 
-def generator_bands(B: float, cutoff: int):
-    """Quarter-normalised generator triple (b+, b-, bx) as {offset: diagonal}."""
-    scale = 1.0 / (4.0 * B)
-    return tuple({k: d * scale for k, d in j.items()} for j in dispersion_bands(B, cutoff))
+def generator_bands(cutoff: int):
+    """Generator triple (b+, b-, bx) = J/(4B) as {offset: diagonal}: J at B = 1/4."""
+    return dispersion_bands(0.25, cutoff)
 
 
 def quadrature_bands(cutoff: int):
@@ -116,23 +112,24 @@ def _group_rows(s) -> list:
             [float(s.Theta[0, 0]), float(s.Lambda[0, 0])]]
 
 
-def build_unitary(angles: ThetaAngles, B: float, cutoff: int) -> UnitaryLCT:
+def build_unitary(angles: ThetaAngles, cutoff: int) -> UnitaryLCT:
     """Factor the Hermitian angle combination one parity block at a time."""
-    if angles.dim != 1:
-        raise DimensionMismatch("the truncated representation is one-dimensional")
-    if not B > 0:
-        raise NonPositiveDispersion("dispersion scale B must be positive")
     if cutoff < 16:
         raise CutoffTooSmall("unitary construction needs cutoff >= 16")
-    tp, tm, tx = angles.triple()
-    bp, bm, bx = generator_bands(B, cutoff)
-    diagonal = tp * bp[0].real
-    band = np.abs(tm * bm[2] + tx * bx[2])
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"unitary cutoff must be <= {MAX_CUTOFF}")
+    tp, tm, tx = angles.triple()  # refuses angles that are not one-dimensional
+    bp, bm, bx = generator_bands(cutoff)
+    with np.errstate(all="ignore"):  # an overflow is refused below, by name
+        diagonal, band = tp * bp[0].real, np.abs(tm * bm[2] + tx * bx[2])
+    for what, part in (("theta_plus", diagonal), ("theta_minus with theta_cross", band)):
+        if not np.all(np.isfinite(part)):
+            raise ValueError(f"{what} overflows the generator at cutoff {cutoff}: {angles.triple()}")
     blocks = []
     for parity in (0, 1):
         d, e = diagonal[parity::2], band[parity::2]
         blocks.append(np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return UnitaryLCT(angles, B, cutoff, np.angle(complex(tm, tx)), tuple(blocks))
+    return UnitaryLCT(angles, cutoff, np.angle(complex(tm, tx)), tuple(blocks))
 
 
 def _leading_conjugate(u: UnitaryLCT, bands: dict) -> np.ndarray:
@@ -160,7 +157,7 @@ def _report_head(u: UnitaryLCT, check: str) -> dict:
     """Leading keys of a residual report; refuses a cutoff too small to judge."""
     if u.cutoff < CHECK_MIN_CUTOFF:
         raise CutoffTooSmall(f"{check} check needs cutoff >= {CHECK_MIN_CUTOFF}")
-    return {"angles": u.angles.triple(), "B": u.B, "cutoff": u.cutoff, "block": u.cutoff // 4}
+    return {"angles": u.angles.triple(), "cutoff": u.cutoff, "block": u.cutoff // 4}
 
 
 def verify_homomorphism(u: UnitaryLCT, tol: float) -> dict:
@@ -233,7 +230,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     block = report["block"]
     s = exp_sp(from_angles(u.angles, EUCLIDEAN_1D))
     engine_rows = engine_transform_rows(rationalize_symplectic(s))
-    gens = dict(zip(("+", "-", "x"), generator_bands(u.B, u.cutoff)))
+    gens = dict(zip(("+", "-", "x"), generator_bands(u.cutoff)))
     bp_lead, bm_lead, bx_lead = (_dense(g, block) for g in gens.values())
     printed_rows = printed_transform_rows(_group_rows(s))
 

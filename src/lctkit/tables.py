@@ -324,7 +324,7 @@ def verify_table(table: str, metric: Metric | None = None, sign: int | None = No
     `gen`: fresh by default, shared when the caller passes a cached maker.
     """
     if table not in _REGISTRY:
-        raise KeyError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
+        raise ValueError(f"unknown table {table!r}; known: {', '.join(TABLE_IDS)}")
     arity, builder = _REGISTRY[table]
     if not arity:
         metric = EUCLIDEAN_1D

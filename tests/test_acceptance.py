@@ -112,7 +112,7 @@ def test_criterion_2_errata_detection():
     numeric_ok = True
     for angles in [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.0, 0.0, 0.5)]:
         rep = metaplectic.verify_basis_transformation(
-            metaplectic.build_unitary(ThetaAngles.one_dim(*angles), 1.0, 64), 1e-6
+            metaplectic.build_unitary(ThetaAngles.one_dim(*angles), 64), 1e-6
         )
         numeric_ok = numeric_ok and rep["passed"]
     verdicts_ok = True
@@ -260,12 +260,12 @@ def test_criterion_7_metaplectic_correspondence():
     worst = 0.0
     for sample in METAPLECTIC_SAMPLES:
         theta = ThetaAngles.one_dim(*sample)
-        u = metaplectic.build_unitary(theta, 1.0, 64)
+        u = metaplectic.build_unitary(theta, 64)
         dense = unitary_matrix(u)
         defect = np.max(np.abs(dense.conj().T @ dense - np.eye(64)))
         unitary_ok = unitary_ok and defect < 1e-12
         r64 = metaplectic.verify_homomorphism(u, 1e-6)
-        r32 = metaplectic.verify_homomorphism(metaplectic.build_unitary(theta, 1.0, 32), 1e-6)
+        r32 = metaplectic.verify_homomorphism(metaplectic.build_unitary(theta, 32), 1e-6)
         residual_ok = residual_ok and r64["passed"]
         decreasing_ok = decreasing_ok and r64["max_residual"] < r32["max_residual"]
         worst = max(worst, r64["max_residual"])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lctkit
-from lctkit import fock, hermite, metaplectic
+from lctkit import cli, fock, hermite, metaplectic, tables
 from lctkit.cli import _wavefunction_csv, main
 
 
@@ -427,7 +428,7 @@ def test_numeric_cutoff_above_limit_is_refused_before_building(
     def builder(*args):
         raise _Built
 
-    monkeypatch.setattr(metaplectic, "build_unitary", builder)
+    monkeypatch.setattr(np.linalg, "eigh", builder)
     monkeypatch.setattr(hermite, "project", builder)
     if command == "transform":
         wf_path = str(tmp_path / "wf.csv")
@@ -443,6 +444,16 @@ def test_numeric_cutoff_above_limit_is_refused_before_building(
     else:
         assert result.exit_code == 2, result.output
         assert "cutoff must be <= 2048" in result.output
+
+
+def test_verify_refuses_a_numerical_cutoff_before_any_table(runner, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was verified before the cutoff was refused")
+
+    monkeypatch.setattr(tables, "verify_table", unreachable)
+    result = runner.invoke(main, ["verify", "--table", "Eq75", "--signature", "4,0",
+                                  "--homomorphism", "--cutoff", "4096"])
+    _assert_refused(result, "cutoff must be <= 2048")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -647,9 +658,9 @@ def _assert_refused(result, message):
 # each of these once raised past the command with exit 1
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("field,message", [
-    ("theta_minus", "Eigenvalues did not converge"),
-    ("theta_cross", "Eigenvalues did not converge"),
-    ("theta_plus", "operator is not unitary"),
+    ("theta_minus", "theta_minus with theta_cross overflows the generator at cutoff 32"),
+    ("theta_cross", "theta_minus with theta_cross overflows the generator at cutoff 32"),
+    ("theta_plus", "theta_plus overflows the generator at cutoff 32"),
     ("P", "cutoff 32 captures input weight nan"),
 ])
 def test_transform_extreme_spec_is_usage_error(runner, tmp_path, field, message):
@@ -668,10 +679,45 @@ def test_unwritable_output_is_usage_error(runner, tmp_path, command):
 
 
 def test_unwritable_transform_sidecar_is_usage_error(runner, tmp_path):
+    # both files or neither: the refused run leaves no out.csv behind
     out = tmp_path / "out.csv"
     (tmp_path / "out.csv.meta.json").mkdir()
     result = runner.invoke(main, ["--output", str(out), *_transform_args(tmp_path)])
     _assert_refused(result, f"cannot write {out}.meta.json: ")
+    assert not out.exists()
+
+
+def test_transform_output_that_is_a_directory_leaves_no_sidecar(runner, tmp_path):
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    result = runner.invoke(main, ["--output", str(out), *_transform_args(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
+    assert not (tmp_path / "out.csv.meta.json").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux /proc")
+@pytest.mark.parametrize("option", ["--input", "--spec"])
+def test_transform_file_that_cannot_be_read_is_usage_error(runner, tmp_path, option):
+    # every input file goes through one reader; reading /proc/self/mem at
+    # offset 0 fails with EIO
+    args = _transform_args(tmp_path)
+    args[args.index(option) + 1] = "/proc/self/mem"
+    _assert_refused(runner.invoke(main, args), "cannot read /proc/self/mem: ")
+
+
+@pytest.mark.parametrize("rows", [["nan,0.5,0"] * 3, ["0,0.5,0", "nan,0.5,0", "2,0.5,0"]])
+def test_dispersion_of_a_nan_grid_is_refused(runner, rows):
+    # such a grid once passed the ascending check and printed NaN moments with exit 0
+    result = runner.invoke(main, ["dispersion", "--input", "-"], input="\n".join(["x,re,im", *rows]))
+    _assert_refused(result, "grid must be strictly ascending")
+
+
+def test_expmap_signature_of_another_size_is_refused_by_from_angles(runner):
+    spec = {"dim": 2, "signature": [1, 0], "theta_plus": [[0.0, 0.0], [0.0, 0.0]],
+            "theta_minus": [[0.0, 0.0], [0.0, 0.0]], "theta_cross": [[0.0, 0.0], [0.0, 0.0]]}
+    result = runner.invoke(main, ["expmap"], input=json.dumps(spec))
+    _assert_refused(result, "angles have dim 2, metric has 1")
 
 
 def test_transform_refuses_an_input_the_cutoff_does_not_capture(runner, tmp_path):
@@ -723,9 +769,9 @@ def test_no_verify_angle_or_tol_gives_a_traceback(angles, tol, cutoff, checks):
 
 
 @st.composite
-def _expmap_input(draw):
+def _expmap_input(draw, entry=_ANY_FLOAT):
     n = draw(st.integers(1, 3))
-    entries = st.lists(st.lists(_ANY_FLOAT, min_size=n, max_size=n), min_size=n, max_size=n)
+    entries = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 
     def symmetric():
         m = draw(entries)
@@ -742,3 +788,63 @@ def _expmap_input(draw):
 @given(_expmap_input())
 def test_no_expmap_input_gives_a_traceback(raw):
     _assert_no_traceback(CliRunner().invoke(main, ["expmap"], input=json.dumps(raw)))
+
+
+# any float, or an ordinary one, so that the valid paths run as well
+_SOME_FLOAT = st.one_of(_ANY_FLOAT, st.floats(-10, 10))
+_SOME_SCALE = st.floats(1e-3, 1e3)
+
+
+# extreme inputs overflow on the way to their refusal; -n is bounded because
+# `basis -n 1000000000` runs the recurrence 10**9 times and no rule caps it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(-5, 300), _SOME_FLOAT, _SOME_FLOAT, st.one_of(_ANY_FLOAT, _SOME_SCALE),
+       st.sampled_from([None, "--grid=-1:1:5", "--grid=-40:40:201"]))
+def test_no_basis_input_gives_a_traceback(level, x0, p0, b, grid):
+    args = ["basis", "-n", str(level), f"--x0={x0!r}", f"--p0={p0!r}", f"--b={b!r}"]
+    _assert_no_traceback(CliRunner().invoke(main, args + ([grid] if grid else [])))
+
+
+# the signature is drawn apart from dim, so most sizes differ from it; finite
+# angles, so that the sizes are what gets judged
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_expmap_input(st.floats(-2, 2)), st.lists(st.integers(0, 4), min_size=2, max_size=2))
+def test_no_expmap_signature_of_another_size_gives_a_traceback(raw, signature):
+    raw = dict(raw, signature=signature)
+    result = CliRunner().invoke(main, ["expmap"], input=json.dumps(raw))
+    _assert_no_traceback(result)
+    if sum(signature) != raw["dim"]:
+        assert result.exit_code == 2, result.output
+
+
+# the payload is stubbed: printing a 1024-level matrix as JSON takes seconds
+# and refuses nothing, while every operator is still built and checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(_ANY_FLOAT, _SOME_SCALE), st.integers(-2, 1100),
+       st.sampled_from(["all", "zminus", "zplus", "jplus", "jminus", "jcross", "sigmap", "sigmax"]))
+def test_no_rep_input_gives_a_traceback(b, cutoff, which):
+    with mock.patch.object(cli, "_operator_payload", lambda op: op.label):
+        result = CliRunner().invoke(main, ["rep", f"--b={b!r}", "--cutoff", str(cutoff),
+                                           "--which", which])
+    _assert_no_traceback(result)
+
+
+@st.composite
+def _wavefunction_rows(draw):
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):  # a uniform grid, so the amplitudes are judged too
+        start, step = draw(_SOME_FLOAT), draw(st.one_of(_ANY_FLOAT, _SOME_SCALE))
+        xs = [start + k * step for k in range(n)]
+    else:
+        xs = draw(st.lists(_SOME_FLOAT, min_size=n, max_size=n))
+    return [(x, draw(_SOME_FLOAT), draw(_SOME_FLOAT)) for x in xs]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_wavefunction_rows())
+def test_no_dispersion_csv_gives_a_traceback(rows):
+    text = "\n".join(["x,re,im", *(f"{x!r},{r!r},{i!r}" for x, r, i in rows)]) + "\n"
+    _assert_no_traceback(CliRunner().invoke(main, ["dispersion", "--input", "-"], input=text))

@@ -1,6 +1,7 @@
 """Unitary correspondence: construction, conjugation, both verification routes."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -12,10 +13,9 @@ from lct_oracles import conjugate, unitary_matrix
 
 from lctkit.fock import CutoffTooSmall, _dense, dispersion_matrices
 from lctkit.metaplectic import (
-    NonPositiveDispersion,
+    MAX_CUTOFF,
     UnitaryLCT,
     build_unitary,
-    generator_bands,
     position_convention_unitary,
     quadrature_bands,
     rationalize_symplectic,
@@ -40,14 +40,14 @@ def reduced_quadratures(cutoff):
 
 
 def test_zero_angles_give_identity():
-    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32)
+    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 32)
     assert np.array_equal(unitary_matrix(u), np.eye(32))
 
 
 def test_plus_direction_is_diagonal_phase():
     t = 0.8
     cutoff = 32
-    u = build_unitary(ThetaAngles.one_dim(t, 0, 0), 2.0, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(t, 0, 0), cutoff)
     n = np.arange(cutoff - 1)
     want = np.exp(1j * t * (2 * n + 1) / 4)
     got = np.diag(unitary_matrix(u))[: cutoff - 1]
@@ -59,7 +59,7 @@ def test_plus_direction_is_diagonal_phase():
 @pytest.mark.parametrize("cutoff", [64, 128])
 def test_unitarity(cutoff):
     for angles in ANGLE_SAMPLES:
-        u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+        u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
         defect = np.max(np.abs(unitary_matrix(u).conj().T @ unitary_matrix(u) - np.eye(cutoff)))
         assert defect < 1e-12
 
@@ -71,13 +71,13 @@ def test_reduced_quadratures_canonical_commutator():
 
 
 def test_conjugation_by_identity():
-    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32)
+    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 32)
     jp, _, _ = dispersion_matrices(1.0, 32)
     assert np.array_equal(conjugate(u, jp).matrix, jp.matrix)
 
 
 def test_conjugation_preserves_hermiticity_and_spectrum():
-    u = build_unitary(ThetaAngles.one_dim(0.3, 0.1, -0.2), 1.0, 64)
+    u = build_unitary(ThetaAngles.one_dim(0.3, 0.1, -0.2), 64)
     _, jm, _ = dispersion_matrices(1.0, 64)
     out = conjugate(u, jm)
     assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
@@ -87,21 +87,21 @@ def test_conjugation_preserves_hermiticity_and_spectrum():
 
 
 def test_plus_rotation_fixes_its_own_generator():
-    u = build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64)
+    u = build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 64)
     jp, _, _ = dispersion_matrices(1.0, 64)
     out = conjugate(u, jp)
     assert np.max(np.abs((out.matrix - jp.matrix)[:32, :32])) < 1e-10
 
 
 def test_conjugate_cutoff_mismatch():
-    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32)
+    u = build_unitary(ThetaAngles.one_dim(0, 0, 0), 32)
     jp, _, _ = dispersion_matrices(1.0, 16)
     with pytest.raises(DimensionMismatch):
         conjugate(u, jp)
 
 
 def test_homomorphism_zero_angles():
-    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 32), 1e-6)
+    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 32), 1e-6)
     assert report["max_residual"] == 0.0
     assert report["passed"]
 
@@ -109,12 +109,12 @@ def test_homomorphism_zero_angles():
 def test_homomorphism_first_order_direction():
     # theta_plus only: U p U+ = cos(t/2) p - sin(t/2) x
     t = 0.2
-    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(t, 0, 0), 1.0, 64), 1e-6)
+    report = verify_homomorphism(build_unitary(ThetaAngles.one_dim(t, 0, 0), 64), 1e-6)
     assert report["passed"]
     assert report["matrix"]["Pi"] == pytest.approx(np.cos(t / 2), abs=1e-12)
     assert report["matrix"]["Theta"] == pytest.approx(-np.sin(t / 2), abs=1e-12)
     p_hat, x_hat = reduced_quadratures(64)
-    u = build_unitary(ThetaAngles.one_dim(t, 0, 0), 1.0, 64)
+    u = build_unitary(ThetaAngles.one_dim(t, 0, 0), 64)
     lhs = unitary_matrix(u) @ p_hat @ unitary_matrix(u).conj().T
     rhs = np.cos(t / 2) * p_hat - np.sin(t / 2) * x_hat
     assert np.max(np.abs((lhs - rhs)[:16, :16])) < 1e-6
@@ -123,26 +123,18 @@ def test_homomorphism_first_order_direction():
 @pytest.mark.parametrize("angles", ANGLE_SAMPLES)
 def test_homomorphism_residual_small_and_decreasing(angles):
     theta = ThetaAngles.one_dim(*angles)
-    r64 = verify_homomorphism(build_unitary(theta, 1.0, 64), 1e-6)
-    r32 = verify_homomorphism(build_unitary(theta, 1.0, 32), 1e-6)
+    r64 = verify_homomorphism(build_unitary(theta, 64), 1e-6)
+    r32 = verify_homomorphism(build_unitary(theta, 32), 1e-6)
     assert r64["passed"]
     assert r64["max_residual"] < r32["max_residual"]
-
-
-def test_homomorphism_independent_of_scale():
-    theta = ThetaAngles.one_dim(0.3, -0.2, 0.25)
-    r_small = verify_homomorphism(build_unitary(theta, 0.25, 64), 1e-6)
-    r_large = verify_homomorphism(build_unitary(theta, 4.0, 64), 1e-6)
-    assert r_small["passed"] and r_large["passed"]
-    assert abs(r_small["max_residual"] - r_large["max_residual"]) < 1e-12
 
 
 def test_cross_derivative_matches_bracket():
     # d(U p U+)/d theta_cross at zero angles equals -p/2
     h = 1e-5
     p_hat, _ = reduced_quadratures(64)
-    up = build_unitary(ThetaAngles.one_dim(0, 0, h), 1.0, 64)
-    dn = build_unitary(ThetaAngles.one_dim(0, 0, -h), 1.0, 64)
+    up = build_unitary(ThetaAngles.one_dim(0, 0, h), 64)
+    dn = build_unitary(ThetaAngles.one_dim(0, 0, -h), 64)
     deriv = (
         unitary_matrix(up) @ p_hat @ unitary_matrix(up).conj().T
         - unitary_matrix(dn) @ p_hat @ unitary_matrix(dn).conj().T
@@ -155,8 +147,8 @@ def test_plus_and_minus_derivatives_match_brackets():
     h = 1e-5
     p_hat, x_hat = reduced_quadratures(64)
     for direction, want in (((h, 0, 0), -0.5), ((0, h, 0), +0.5)):
-        up = build_unitary(ThetaAngles.one_dim(*direction), 1.0, 64)
-        dn = build_unitary(ThetaAngles.one_dim(*[-v for v in direction]), 1.0, 64)
+        up = build_unitary(ThetaAngles.one_dim(*direction), 64)
+        dn = build_unitary(ThetaAngles.one_dim(*[-v for v in direction]), 64)
         deriv = (
             unitary_matrix(up) @ p_hat @ unitary_matrix(up).conj().T
             - unitary_matrix(dn) @ p_hat @ unitary_matrix(dn).conj().T
@@ -169,9 +161,9 @@ def test_one_parameter_subgroups():
         a = tuple(0.3 * v for v in direction)
         b = tuple(0.45 * v for v in direction)
         ab = tuple(x + y for x, y in zip(a, b))
-        ua = build_unitary(ThetaAngles.one_dim(*a), 1.0, 64)
-        ub = build_unitary(ThetaAngles.one_dim(*b), 1.0, 64)
-        uab = build_unitary(ThetaAngles.one_dim(*ab), 1.0, 64)
+        ua = build_unitary(ThetaAngles.one_dim(*a), 64)
+        ub = build_unitary(ThetaAngles.one_dim(*b), 64)
+        uab = build_unitary(ThetaAngles.one_dim(*ab), 64)
         assert np.max(np.abs(unitary_matrix(ua) @ unitary_matrix(ub) - unitary_matrix(uab))) < 1e-10
 
 
@@ -179,8 +171,8 @@ def test_composition_of_conjugation_actions():
     # conjugating by U1 U2 realises the product of the classical matrices
     t1 = ThetaAngles.one_dim(0.3, 0.0, 0.0)
     t2 = ThetaAngles.one_dim(0.0, 0.0, 0.4)
-    u1 = build_unitary(t1, 1.0, 96)
-    u2 = build_unitary(t2, 1.0, 96)
+    u1 = build_unitary(t1, 96)
+    u2 = build_unitary(t2, 96)
     s1 = exp_sl2(from_angles(t1, EUCLIDEAN_1D)).full()
     s2 = exp_sl2(from_angles(t2, EUCLIDEAN_1D)).full()
     s12 = s1 @ s2
@@ -213,7 +205,7 @@ def test_rationalized_group_element_is_unimodular_and_close(angles):
 
 
 def test_basis_transformation_identity():
-    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 64), 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0, 0, 0), 64), 1e-6)
     assert report["passed"]
     assert report["rows"]["+"]["engine_coefficients"] == (1.0, 0.0, 0.0)
     assert report["rows"]["-"]["engine_coefficients"] == (0.0, 1.0, 0.0)
@@ -221,7 +213,7 @@ def test_basis_transformation_identity():
 
 
 def test_basis_transformation_rotation_invariance():
-    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64), 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 64), 1e-6)
     assert report["passed"]
     plus = report["rows"]["+"]
     assert abs(plus["engine_coefficients"][0] - 1.0) < 1e-9
@@ -232,20 +224,20 @@ def test_basis_transformation_rotation_invariance():
 
 @pytest.mark.parametrize("angles", ANGLE_SAMPLES)
 def test_basis_transformation_engine_rows_match_numerics(angles):
-    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(*angles), 1.0, 64), 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(*angles), 64), 1e-6)
     assert report["passed"], report
     # the published third row is the one that survives the engine check
     assert report["rows"]["x"]["printed_row_holds"]
 
 
 def test_basis_transformation_printed_first_rows_fail_off_identity():
-    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 1.0, 64), 1e-6)
+    report = verify_basis_transformation(build_unitary(ThetaAngles.one_dim(0.4, 0, 0), 64), 1e-6)
     assert not report["rows"]["+"]["printed_row_holds"]
     assert not report["rows"]["-"]["printed_row_holds"]
 
 
 def test_position_convention_bridge_is_unitary_and_fixes_diagonal():
-    u = build_unitary(ThetaAngles.one_dim(0.7, 0, 0), 1.0, 32)
+    u = build_unitary(ThetaAngles.one_dim(0.7, 0, 0), 32)
     bridged = unitary_matrix(position_convention_unitary(u))
     assert np.max(np.abs(bridged.conj().T @ bridged - np.eye(32))) < 1e-12
     # diagonal unitaries are unchanged by the diagonal phase conjugation
@@ -257,7 +249,7 @@ def test_position_convention_bridge_matches_the_dense_phase_conjugation():
     for cutoff in (16, 17, 33, 256, 257):
         phases = 1j ** np.arange(cutoff)
         for angles in ANGLE_SAMPLES + [(0.0, -0.6, 0.0), (0.0, 0.0, 0.7), (-1.3, 0.0, 0.0)]:
-            u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+            u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
             want = (phases[:, None] * unitary_matrix(u)) * phases.conj()[None, :]
             got = unitary_matrix(position_convention_unitary(u))
             assert np.max(np.abs(got - want)) <= 1e-12, (cutoff, angles)
@@ -266,7 +258,7 @@ def test_position_convention_bridge_matches_the_dense_phase_conjugation():
 def test_position_convention_runs_the_factor_gate_once_and_applies_d_u_d_dagger(monkeypatch):
     gate, gated = UnitaryLCT.__post_init__, []
     monkeypatch.setattr(UnitaryLCT, "__post_init__", lambda self: gated.append(gate(self)))
-    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 64)
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 64)
     u.check_rows  # a cached view of u must not leak into the bridged unitary
     bridged = position_convention_unitary(u)
     assert len(gated) == 1
@@ -280,7 +272,7 @@ def test_position_convention_runs_the_factor_gate_once_and_applies_d_u_d_dagger(
 
 def test_position_convention_apply_at_the_largest_cutoff_forms_no_dense_unitary():
     # one cutoff x cutoff complex matrix at 2048 is 64 MiB
-    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 2048)
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 2048)
     coeffs = np.random.default_rng(3).normal(size=2048) + 0j
     tracemalloc.start()
     try:
@@ -292,26 +284,54 @@ def test_position_convention_apply_at_the_largest_cutoff_forms_no_dense_unitary(
     assert abs(np.linalg.norm(out) - np.linalg.norm(coeffs)) <= 1e-10 * np.linalg.norm(coeffs)
 
 
-def test_generator_matrices_scale_free():
-    a = generator_bands(0.5, 24)
-    b = generator_bands(2.0, 24)
-    for x, y in zip(a, b):
-        assert x.keys() == y.keys()
-        for k in x:
-            assert np.max(np.abs(x[k] - y[k])) < 1e-15
+def _unreachable_eigh(*args, **kwargs):
+    raise AssertionError("build_unitary reached eigh for a refused input")
 
 
-def test_guards():
+def test_guards(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _unreachable_eigh)
     with pytest.raises(CutoffTooSmall):
-        build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 8)
-    with pytest.raises(NonPositiveDispersion):
-        build_unitary(ThetaAngles.one_dim(0, 0, 0), 0.0, 32)
-    with pytest.raises(CutoffTooSmall):
-        verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 1.0, 16), 1e-6)
+        build_unitary(ThetaAngles.one_dim(0, 0, 0), 8)
+    with pytest.raises(ValueError, match=f"cutoff must be <= {MAX_CUTOFF}"):
+        build_unitary(ThetaAngles.one_dim(0, 0, 0), MAX_CUTOFF + 1)
     with pytest.raises(DimensionMismatch):
-        build_unitary(
-            ThetaAngles(2, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))), 1.0, 32
-        )
+        build_unitary(ThetaAngles(2, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))), 32)
+    monkeypatch.undo()
+    with pytest.raises(CutoffTooSmall):
+        verify_homomorphism(build_unitary(ThetaAngles.one_dim(0, 0, 0), 16), 1e-6)
+
+
+@pytest.mark.parametrize("angles,field", [
+    ((1.7e308, 0.0, 0.0), "theta_plus"),
+    ((0.0, 1.7e308, 0.0), "theta_minus with theta_cross"),
+    ((0.0, 0.0, -1.7e308), "theta_minus with theta_cross"),
+])
+@pytest.mark.parametrize("cutoff", [16, 2048])
+def test_an_angle_that_overflows_its_generator_is_refused_by_name_before_eigh(
+    monkeypatch, angles, field, cutoff
+):
+    monkeypatch.setattr(np.linalg, "eigh", _unreachable_eigh)
+    want = f"{field} overflows the generator at cutoff {cutoff}: {angles!r}"
+    with pytest.raises(ValueError) as refused:
+        build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    assert str(refused.value) == want
+
+
+def test_a_band_that_overflows_only_jointly_is_refused(monkeypatch):
+    # t- and tx each keep the band finite; |t- + i tx| times the band does not
+    top = math.sqrt(14 * 15) / 4  # the largest band entry at cutoff 16
+    angles = (0.0, 1.5e308 / top, 1.5e308 / top)
+    assert math.isfinite(angles[1] * top) and not math.isfinite(math.hypot(*angles[1:]) * top)
+    monkeypatch.setattr(np.linalg, "eigh", _unreachable_eigh)
+    with pytest.raises(ValueError, match="theta_minus with theta_cross overflows .* cutoff 16"):
+        build_unitary(ThetaAngles.one_dim(*angles), 16)
+
+
+def test_the_largest_angle_below_overflow_still_builds():
+    # theta_plus times the largest diagonal entry (2c - 3)/4 stays finite
+    top = (2 * 16 - 3) / 4
+    u = build_unitary(ThetaAngles.one_dim(1.7e308 / top, 0.0, 0.0), 16)
+    assert u.cutoff == 16
 
 
 @pytest.mark.parametrize("cutoff", [64, 1024])
@@ -320,6 +340,6 @@ def test_both_checks_pass_at_every_corner_of_the_half_box_from_cutoff_64(cutoff)
     # |angles| <= 0.5 the worst leading-block residual is 5.7e-10 at cutoff 64
     # and 6.2e-11 at 1024, so the default tol 1e-6 holds there
     for angles in itertools.product((-0.5, 0.5), repeat=3):
-        u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+        u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
         assert verify_homomorphism(u, 1e-6)["passed"], angles
         assert verify_basis_transformation(u, 1e-6)["passed"], angles

@@ -171,7 +171,7 @@ def test_report_json_schema():
 
 
 def test_unknown_table_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown table 'Eq99'; known: Eq10, "):
         verify_table("Eq99")
 
 

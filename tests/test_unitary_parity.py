@@ -1,9 +1,10 @@
 """Parity-split unitary against the dense eigendecomposition it replaced.
 
 The reference exponentiates the full dense generator with one complex
-`eigh`, and conjugates with full matrix products.  The factor form of
-`UnitaryLCT` is checked against the dense matrix it stands for: its
-assembly, its leading rows, and its unitarity gate against the dense
+`eigh`, and conjugates with full matrix products.  It forms b = J/(4B) at its
+own B, so the quarter normalisation of `generator_bands` is checked too.  The
+factor form of `UnitaryLCT` is checked against the dense matrix it stands
+for: its assembly, its leading rows, and its unitarity gate against the dense
 max|U+U - I| check on planted defects.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from lct_oracles import unitary_matrix
 
-from lctkit.fock import _dense
+from lctkit.fock import _dense, dispersion_bands
 from lctkit.metaplectic import (
     UNITARITY_TOL,
     UnitaryLCT,
@@ -39,9 +40,14 @@ EDGE_ANGLES = [
 ]
 
 
+def quarter_normalised(B, cutoff):
+    """b = J/(4B) at scale B, formed independently of `generator_bands`."""
+    return tuple({k: d / (4.0 * B) for k, d in j.items()} for j in dispersion_bands(B, cutoff))
+
+
 def dense_unitary(angles, B, cutoff):
     tp, tm, tx = angles
-    bp, bm, bx = (_dense(g, cutoff) for g in generator_bands(B, cutoff))
+    bp, bm, bx = (_dense(g, cutoff) for g in quarter_normalised(B, cutoff))
     evals, vecs = np.linalg.eigh(tp * bp + tm * bm + tx * bx)
     return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
@@ -53,8 +59,8 @@ def dense_leading_conjugate(u, a, block):
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_parity_split_matches_dense(angles, cutoff):
-    got = unitary_matrix(build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff))
-    assert np.max(np.abs(got - dense_unitary(angles, 1.0, cutoff))) <= 1e-12
+    got = unitary_matrix(build_unitary(ThetaAngles.one_dim(*angles), cutoff))
+    assert np.max(np.abs(got - dense_unitary(angles, 1.3, cutoff))) <= 1e-12
     assert not np.any(got[0::2, 1::2])
     assert not np.any(got[1::2, 0::2])
 
@@ -68,7 +74,7 @@ def test_leading_block_residuals_match_dense_conjugation(angles):
     cutoff, B = 128, 1.0
     u = dense_unitary(angles, B, cutoff)
     p_hat, x_hat = (_dense(q, cutoff) for q in quadrature_bands(cutoff))
-    built = build_unitary(ThetaAngles.one_dim(*angles), B, cutoff)
+    built = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
 
     hom = verify_homomorphism(built, 1e-6)
     block, m = hom["block"], hom["matrix"]
@@ -82,7 +88,7 @@ def test_leading_block_residuals_match_dense_conjugation(angles):
         assert _close(hom[key], np.max(np.abs(lhs - want)), lhs)
 
     law = verify_basis_transformation(built, 1e-6)
-    gens = {k: _dense(g, cutoff) for k, g in zip("+-x", generator_bands(B, cutoff))}
+    gens = {k: _dense(g, cutoff) for k, g in zip("+-x", quarter_normalised(B, cutoff))}
     leads = [g[:block, :block] for g in gens.values()]
     for kind, row in law["rows"].items():
         lhs = dense_leading_conjugate(u, gens[kind], block)
@@ -100,7 +106,7 @@ def identity_factors(cutoff):
 
 
 def _factor_unitary(cutoff, blocks, phase=0.0):
-    return UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), 1.0, cutoff, phase, tuple(blocks))
+    return UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), cutoff, phase, tuple(blocks))
 
 
 def test_parity_mixing_operator_is_rejected():
@@ -181,7 +187,7 @@ def planted_defects(blocks):
 @pytest.mark.parametrize("cutoff", [16, 33, 256])
 @pytest.mark.parametrize("angles", [(0.7, 0.0, 0.0), (0.0, 0.7, 0.0), (0.3, -0.2, 0.25)])
 def test_factor_gate_refuses_every_defect_the_dense_check_refuses(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
     assert not dense_refuses(u.phase, u.blocks)
     refused = 0
     for name, parity, block in planted_defects(u.blocks):
@@ -202,7 +208,7 @@ def test_factor_gate_refuses_every_defect_the_dense_check_refuses(angles, cutoff
 @pytest.mark.parametrize("cutoff", [16, 33, 256])
 @pytest.mark.parametrize("angles", [(0.0, 0.0, 0.7), (0.3, -0.2, 0.25)])
 def test_flipped_band_phase_passes_both_gates_and_fails_the_residual(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
     flipped = dataclasses.replace(u, phase=-u.phase)
     assert not dense_refuses(flipped.phase, flipped.blocks)
     assert np.max(np.abs(unitary_matrix(flipped) - unitary_matrix(u))) > 1e-3
@@ -216,15 +222,15 @@ def test_every_built_unitary_passes_the_factor_gate(cutoff):
     rng = np.random.default_rng(cutoff)
     angle_sets = EDGE_ANGLES + [(2.0, -2.0, 2.0)] + [tuple(rng.uniform(-2, 2, 3)) for _ in range(3)]
     for angles in angle_sets:
-        u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+        u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
         if cutoff <= 256:
             assert not dense_refuses(u.phase, u.blocks), angles
 
 
-def reference_unitary(angles, B, cutoff):
+def reference_unitary(angles, cutoff):
     """The dense assembly `build_unitary` made before the factor form, verbatim."""
     tp, tm, tx = angles
-    bp, bm, bx = generator_bands(B, cutoff)
+    bp, bm, bx = generator_bands(cutoff)
     diagonal = tp * bp[0].real
     band = np.abs(tm * bm[2] + tx * bx[2])
     phase = np.angle(complex(tm, tx))
@@ -246,14 +252,14 @@ UNEVEN_CUTOFFS = [17, 33, 36, 45, 257]
 @pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS + [16, 1024])
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_dense_view_is_the_reference_assembly_byte_for_byte(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), 1.3, cutoff)
-    assert np.array_equal(unitary_matrix(u), reference_unitary(angles, 1.3, cutoff))
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    assert np.array_equal(unitary_matrix(u), reference_unitary(angles, cutoff))
 
 
 @pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS)
 @pytest.mark.parametrize("angles", [(0.3, -0.2, 0.25), (0.5, 0.5, -0.5), (2.0, -1.5, 1.7)])
 def test_leading_rows_match_the_dense_view(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
     dense = unitary_matrix(u)
     for m in sorted({1, 2, 3, 8, 9, cutoff // 4, cutoff // 2 + 1, cutoff - 1, cutoff}):
         rows = np.zeros((m, cutoff), dtype=complex)
@@ -266,7 +272,7 @@ def test_leading_rows_match_the_dense_view(angles, cutoff):
 @pytest.mark.parametrize("cutoff", [16, 17, 33, 36, 45, 256, 257])
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_apply_matches_the_dense_view(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), 1.0, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
     rng = np.random.default_rng(cutoff)
     for v in (rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff), np.eye(cutoff)[cutoff - 1]):
         got = u.apply(v)
@@ -274,7 +280,7 @@ def test_apply_matches_the_dense_view(angles, cutoff):
 
 
 def test_apply_refuses_a_vector_of_another_length():
-    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 1.0, 33)
+    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 33)
     for v in (np.ones(32), np.ones(34), np.ones((1, 33)), np.ones(0)):
         with pytest.raises(DimensionMismatch, match="does not match cutoff 33"):
             u.apply(v)
@@ -300,19 +306,19 @@ def dense_operators(B, cutoff):
     }
 
 
-def band_operators(B, cutoff):
+def band_operators(cutoff):
     return dict(zip(("p_hat", "x_hat", "b+", "b-", "bx"),
-                    (*quadrature_bands(cutoff), *generator_bands(B, cutoff))))
+                    (*quadrature_bands(cutoff), *generator_bands(cutoff))))
 
 
 @pytest.mark.parametrize("cutoff", [32, 33, 128, 17, 36, 45, 257])
 @pytest.mark.parametrize("angles", [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.0, 0.7, -0.5)])
 def test_leading_conjugate_of_every_band_operator_matches_dense(angles, cutoff):
     B = 1.3
-    u = build_unitary(ThetaAngles.one_dim(*angles), B, cutoff)
+    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
     block = cutoff // 4
     dense = dense_operators(B, cutoff)
-    for name, bands in band_operators(B, cutoff).items():
+    for name, bands in band_operators(cutoff).items():
         a = dense[name]
         assert np.max(np.abs(_dense(bands, cutoff) - a)) <= 1e-15 * np.max(np.abs(a)), name
         got = _leading_conjugate(u, bands)
