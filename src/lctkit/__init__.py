@@ -1,9 +1,9 @@
 """Dispersion-operator algebra, Fock representations and linear canonical transforms."""
 
-from .fock import dispersion_matrices, ladder_matrices, sigma_operators, truncated_commutator_check
-from .hermite import BasisParams, SampledWavefunction, dispersion_estimate, phi, phi_tilde, project, synthesize
+from .fock import dispersion_matrices, ladder_matrices, sigma_operators
+from .hermite import BasisParams, SampledWavefunction, dispersion_estimate, phi, project, synthesize
 from .metaplectic import build_unitary, verify_basis_transformation, verify_homomorphism
-from .symplectic import ThetaAngles, compose, exp_sl2, exp_sp, from_angles, invert, is_symplectic
+from .symplectic import ThetaAngles, exp_sl2, exp_sp, from_angles
 from .tables import TABLE_IDS, verify_table
 from .weyl import (
     Metric,

@@ -111,9 +111,13 @@ def _parse_grid(spec: str, params: hermite.BasisParams):
         _require_finite(hi, "grid MAX")
         if npts < 2 or not hi > lo:
             raise click.UsageError("grid needs MAX > MIN and at least two points")
-        return np.linspace(lo, hi, npts)
-    half = 10.0 * np.sqrt(params.A)
-    return np.linspace(params.X - half, params.X + half, 1001)
+    else:
+        half = 10.0 * math.sqrt(params.A)
+        lo, hi, npts = params.X - half, params.X + half, 1001
+    xs = np.linspace(lo, hi, npts)
+    if not np.all(np.diff(xs) > 0):  # the spacing fell below the rounding of the points
+        raise click.UsageError(f"grid [{lo!r}, {hi!r}] has no {npts} distinct points")
+    return xs
 
 
 def _require_finite(value: float, name: str) -> None:
@@ -217,9 +221,10 @@ _SPEC_FIELDS = ("X", "P", "B", "cutoff", "theta_plus", "theta_minus", "theta_cro
 def transform(ctx, input_path, spec_path):
     """Apply a linear canonical transform to a sampled wavefunction.
 
-    Pipeline: project onto the basis, act with the truncated unitary, then
-    synthesise back on the input grid.  Before/after dispersion estimates go
-    to a .meta.json sidecar (stderr when writing to stdout).
+    Pipeline: project onto the first `cutoff` levels of the basis, then
+    synthesise the coefficients on the input grid in the transformed family
+    U phi_n.  Before/after dispersion estimates go to a .meta.json sidecar
+    (stderr when writing to stdout).
     """
     wf = _read_wavefunction(input_path)
     try:
@@ -239,14 +244,13 @@ def transform(ctx, input_path, spec_path):
     if not abs(weight - 1.0) <= 1e-6:  # dispersion_estimate's bound; NaN fails it too
         raise click.UsageError(
             f"cutoff {cutoff} captures input weight {weight!r}, expected 1 within 1e-6")
-    new_coeffs = metaplectic.position_convention_unitary(unitary).apply(expansion.coeffs)
-    out_wf = hermite.synthesize(
-        hermite.CoefficientExpansion(params, cutoff, new_coeffs), wf.grid
-    )
+    family = metaplectic.position_convention_unitary(unitary).family()
     try:
+        out_wf = hermite.synthesize(expansion, wf.grid, family)
         after = hermite.dispersion_estimate(out_wf)
-    except hermite.NotNormalized as exc:
-        raise click.UsageError(f"output left the truncated space: {exc}")
+    except ValueError as exc:
+        raise click.UsageError(
+            f"the input grid cannot hold the output of angles {angles.triple()}: {exc}")
     moments = {
         "before": dict(zip(("Xbar", "Pbar", "dx2", "dp2"), before)),
         "after": dict(zip(("Xbar", "Pbar", "dx2", "dp2"), after)),
@@ -357,8 +361,10 @@ def verify(ctx, table_names, run_all, dim, signature, homomorphism, basis_law, c
     if (homomorphism or basis_law) and cutoff < metaplectic.CHECK_MIN_CUTOFF:
         raise click.UsageError(f"cutoff must be >= {metaplectic.CHECK_MIN_CUTOFF}")
     started = time.perf_counter()
-    # built before any table: a refused cutoff costs nothing
+    # built, with the rows the checks judge, before any table: a refused input costs nothing
     u = metaplectic.build_unitary(theta, cutoff) if homomorphism or basis_law else None
+    if u is not None:
+        u.check_rows
     metric = _parse_signature(signature) if signature else weyl.Metric(dim, 0)
     # one exact context per (metric, sign), made on first use, for this call only
     make_context = functools.cache(weyl.ExactContext)

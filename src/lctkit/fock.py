@@ -107,41 +107,3 @@ def sigma_operators(B: float, cutoff: int):
         TruncatedOperator(cutoff, _dense({0: jp}, cutoff), "sigma_p"),
         TruncatedOperator(cutoff, _dense({0: jp * (a / B)}, cutoff), "sigma_x"),
     )
-
-
-def truncated_commutator_check(cutoff: int, B: float) -> dict:
-    """Residuals of the dispersion-triple and ladder commutators on the
-    leading (cutoff-2) block, plus the full-matrix residual for reference.
-
-    The full-matrix residual is expected to be O(cutoff * B) and concentrated
-    in the last two rows/columns; the restricted residuals should sit at
-    floating-point roundoff.
-    """
-    if cutoff < 6:
-        raise CutoffTooSmall("commutator check needs cutoff >= 6")
-    zm, zp = ladder_matrices(cutoff)
-    jp, jm, jx = dispersion_matrices(B, cutoff)
-    block = cutoff - 2
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    checks = {
-        "triple_plus_minus": (comm(jp.matrix, jm.matrix), 4j * B * jx.matrix),
-        "triple_minus_cross": (comm(jm.matrix, jx.matrix), -4j * B * jp.matrix),
-        "triple_cross_plus": (comm(jx.matrix, jp.matrix), 4j * B * jm.matrix),
-        "ladder_lowering": (comm(jp.matrix, zm.matrix), -2.0 * B * zm.matrix),
-        "ladder_raising": (comm(jp.matrix, zp.matrix), 2.0 * B * zp.matrix),
-    }
-    report = {"cutoff": cutoff, "B": B, "block": block, "identities": {}}
-    for name, (lhs, rhs) in checks.items():
-        full = np.abs(lhs - rhs)
-        report["identities"][name] = {
-            "restricted_residual": float(np.max(full[:block, :block])),
-            "full_residual": float(np.max(full)),
-            "boundary_residual": float(max(np.max(full[block:]), np.max(full[:, block:]))),
-        }
-    report["max_restricted_residual"] = max(
-        v["restricted_residual"] for v in report["identities"].values()
-    )
-    return report

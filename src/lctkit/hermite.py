@@ -6,10 +6,10 @@ derived through A*B = 1/4, which encodes the minimum-uncertainty constraint
 structurally.  Member n of the family is
 
     phi_n(x) = H_n((x-X)/sqrt(2A)) / sqrt(2^n n! sqrt(2 pi A))
-               * exp(-(x-X)^2/(4A) + i P x)
+               * exp(-(x-X)^2/(4A) + i P x).
 
-and its momentum-side partner swaps (x, X, A) -> (p, P, B) with the plane-wave
-factor exp(-i X (p-P)).
+An LCT maps the family to a rescaled, chirped family about the same centre
+(`HermiteFamily`); `synthesize` sums either through one recurrence pass.
 
 All levels come from one pass of the normalised three-term recurrence for the
 Hermite functions.  `project` and `synthesize` consume each level as the pass
@@ -103,6 +103,17 @@ class SampledWavefunction:
 
 
 @dataclass(frozen=True)
+class HermiteFamily:
+    """Member n is C omega^n h_n(xi/s) exp(i kappa xi^2) (2A)^(-1/4) exp(i P x),
+    xi = (x - X)/sqrt(2A): the basis family (the defaults) after an LCT."""
+
+    s: float = 1.0
+    kappa: float = 0.0
+    omega: complex = 1.0
+    C: complex = 1.0
+
+
+@dataclass(frozen=True)
 class CoefficientExpansion:
     """Expansion coefficients c_n, 0 <= n < cutoff, over a basis family."""
 
@@ -171,32 +182,32 @@ def _hermite_function(n: int, u) -> np.ndarray:
     return h
 
 
+def _plane_wave(k: float, x: np.ndarray, name: str) -> np.ndarray:
+    """exp(i k x); refuses a phase k x that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = k * x
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"{name} = {k!r} overflows the plane-wave phase {name} * x on this grid")
+    return np.exp(1j * phase)
+
+
 def phi(n: int, x, params: BasisParams):
     """Basis wavefunction phi_n at coordinate(s) x."""
     x = np.asarray(x, dtype=float)
     a = params.A
     u = (x - params.X) / np.sqrt(2.0 * a)
     vals = _hermite_function(n, u) * (2.0 * a) ** (-0.25)
-    out = vals * np.exp(1j * params.P * x)
+    out = vals * _plane_wave(params.P, x, "P")
     return out if out.ndim else complex(out)
 
 
-def phi_tilde(n: int, p, params: BasisParams):
-    """Momentum-side basis wavefunction at momentum value(s) p."""
-    p = np.asarray(p, dtype=float)
-    b = params.B
-    v = (p - params.P) / np.sqrt(2.0 * b)
-    vals = _hermite_function(n, v) * (2.0 * b) ** (-0.25)
-    out = vals * np.exp(-1j * params.X * (p - params.P))
-    return out if out.ndim else complex(out)
-
-
-def _check_support(grid: np.ndarray, params: BasisParams):
-    half_width = SUPPORT_SIGMAS * np.sqrt(params.A)
-    if grid[0] > params.X - half_width or grid[-1] < params.X + half_width:
+def _check_support(grid: np.ndarray, centre: float, sigma: float):
+    """Refuse a grid that misses SUPPORT_SIGMAS standard deviations sigma about centre."""
+    half_width = SUPPORT_SIGMAS * sigma
+    if not (grid[0] <= centre - half_width and grid[-1] >= centre + half_width):
         raise InsufficientSupport(
             f"grid [{grid[0]}, {grid[-1]}] does not cover "
-            f"{params.X} +- {half_width} (need {SUPPORT_SIGMAS} sigma)"
+            f"{centre} +- {half_width} (need {SUPPORT_SIGMAS} sigma)"
         )
 
 
@@ -204,7 +215,7 @@ def project(wf: SampledWavefunction, params: BasisParams, cutoff: int) -> Coeffi
     """Trapezoidal projection c_n = <phi_n | psi> for n < cutoff."""
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
-    _check_support(wf.grid, params)
+    _check_support(wf.grid, params.X, np.sqrt(params.A))
     a = params.A
     # trapezoid weights
     steps = np.diff(wf.grid)
@@ -212,7 +223,7 @@ def project(wf: SampledWavefunction, params: BasisParams, cutoff: int) -> Coeffi
     weights[:-1] += 0.5 * steps
     weights[1:] += 0.5 * steps
     # c_n = sum_j h_n(u_j) g_j: everything but the real Hermite function
-    g = np.exp(-1j * params.P * wf.grid) * wf.values * weights * (2.0 * a) ** (-0.25)
+    g = _plane_wave(params.P, wf.grid, "P").conj() * wf.values * weights * (2.0 * a) ** (-0.25)
     g_parts = np.stack([g.real, g.imag])
     u = (wf.grid - params.X) / np.sqrt(2.0 * a)
     coeffs = np.empty(cutoff, dtype=complex)
@@ -222,18 +233,27 @@ def project(wf: SampledWavefunction, params: BasisParams, cutoff: int) -> Coeffi
     return CoefficientExpansion(params, cutoff, coeffs)
 
 
-def synthesize(expansion: CoefficientExpansion, grid) -> SampledWavefunction:
-    """Assemble sum_n c_n phi_n on the given uniform grid."""
+def synthesize(expansion: CoefficientExpansion, grid, family: HermiteFamily = HermiteFamily()
+               ) -> SampledWavefunction:
+    """Assemble sum_n c_n psi_n, psi_n member n of `family`, on a uniform grid that
+    resolves it (width s sqrt(2A) >= spacing) and holds it as `project` asks its input."""
     grid = np.asarray(grid, dtype=float)
     params = expansion.params
     a = params.A
-    u = (grid - params.X) / np.sqrt(2.0 * a)
+    width = float(family.s * np.sqrt(2.0 * a))
+    spacing = float(grid[1] - grid[0])
+    if not width >= spacing:  # NaN fails it too
+        raise ValueError(f"output width {width!r} is below the grid spacing {spacing!r}")
+    _check_support(grid, params.X, family.s * np.sqrt(a))
+    xi = (grid - params.X) / np.sqrt(2.0 * a)
+    coeffs = expansion.coeffs * family.omega ** np.arange(expansion.cutoff)
     total_re = np.zeros(grid.shape)
     total_im = np.zeros(grid.shape)
-    for c, h in zip(expansion.coeffs, _hermite_functions(expansion.cutoff, u)):
+    for c, h in zip(coeffs, _hermite_functions(expansion.cutoff, xi / family.s)):
         total_re += c.real * h
         total_im += c.imag * h
-    values = (total_re + 1j * total_im) * ((2.0 * a) ** (-0.25) * np.exp(1j * params.P * grid))
+    envelope = family.C * (2.0 * a) ** (-0.25) * np.exp(1j * family.kappa * xi * xi)
+    values = (total_re + 1j * total_im) * (envelope * _plane_wave(params.P, grid, "P"))
     return SampledWavefunction(grid, values)
 
 

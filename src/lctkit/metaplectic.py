@@ -1,96 +1,173 @@
-"""Unitary side of the correspondence on the truncated number basis.
+"""Unitary side of the correspondence: the metaplectic operator read off S.
 
-U = exp(i (t+ b+ + t- b- + tx bx)) is built from the Hermitian generator in
-the quarter normalisation b = J/(4B), whose matrix is J's at B = 1/4 for every
-B, so U takes only the angles and the cutoff; the same angles exponentiate on
-the classical side to a 2x2 matrix ((Pi, Xi), (Theta, Lambda)), and conjugation
-by U must reproduce that matrix action on the reduced quadratures
+U = exp(i (t+ b+ + t- b- + tx bx)) is generated by b = J/(4B), J's matrix at
+B = 1/4, so U takes only the angles; they exponentiate classically
+(`symplectic.exp_sp`) to S = ((Pi, Xi), (Theta, Lambda)), whose action U must
+reproduce on p_hat = (Zminus + Zplus)/sqrt(2), x_hat = i (Zminus - Zplus)/sqrt(2).
+S fixes U up to sign: U a U+ = u a + v a+ with u + v = Pi - i Xi and
+u - v = Lambda + i Theta, and <0|U|0> = u^(-1/2) on the branch continued from
+the identity.  Both commands use that one object, and nothing truncates U:
 
-    p_hat = (Zminus + Zplus)/sqrt(2),   x_hat = i (Zminus - Zplus)/sqrt(2).
-
-The generators are quadratic in the ladder operators, so they couple level n
-only to n +- 2 and U is block diagonal over even and odd levels.  Within one
-parity block the generator is Hermitian tridiagonal and its off-diagonal
-carries the single phase phi = arg(t- + i tx); with D = diag(exp(-i k phi))
-the block is D T D+ for a real symmetric tridiagonal T = V L V^T, so each block
-costs one real eigendecomposition of half the cutoff.  `UnitaryLCT` keeps those
-factors and acts with them (`apply`, `leading_rows`); nothing here forms the
-cutoff x cutoff U.
-
-Truncation contaminates the top of the tower, so all residuals are measured
-on the leading cutoff/4 block.  Over the corners of |angles| <= 0.5 the worst
-is 7.1e-6 at cutoff 32, 5.7e-10 at 64 and 6.2e-11 at 1024, so tol 1e-6 holds
-from cutoff 64 on.  They are formed from the leading rows of each parity
-block, as U[:b, :] A U[:b, :]+ with A summed from its bands ({offset:
-diagonal}, see `fock`) one parity pair at a time; only the b x b reference is
-dense.  Both checks take a built `UnitaryLCT` and share its leading rows.
+* `transform` synthesises U phi_n, a rescaled, chirped Hermite family (the
+  Hermite-Gaussian ABCD law, Kogelnik & Li, Appl. Opt. 5, 1550 (1966)).
+* `verify` judges U A U+ on the leading cutoff/4 block from the true rows
+  <m|U: row m is the eigenvector of U+ b+ U for the eigenvalue (2m+1)/4 of b+,
+  from one twisted factorisation of a tridiagonal matrix (Dhillon & Parlett,
+  Linear Algebra Appl. 387, 1 (2004)).  The rows run until every later entry
+  is below the rounding unit, and rows that would need more than `MAX_CUTOFF`
+  columns are refused by name.  The Bargmann recurrence of Miatto & Quesada
+  (Quantum 4, 366 (2020)) gives the same rows, but its rounding error grows
+  with the row: 2.5e-3 at row 255 at angles (0.5, 0.5, -0.5), against 4.6e-14.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .fock import CutoffTooSmall, _dense, dispersion_bands, ladder_bands
-from .symplectic import DimensionMismatch, ThetaAngles, exp_sp, from_angles
+from .hermite import HermiteFamily
+from .symplectic import ConstraintViolation, ThetaAngles, exp_sp, from_angles
 from .weyl import EUCLIDEAN_1D, engine_transform_rows, printed_transform_rows
 
-UNITARITY_TOL = 1e-12
 # smallest cutoff whose leading cutoff/4 block the residual checks judge
 CHECK_MIN_CUTOFF = 32
 RATIONALIZE_DENOMINATOR = 10 ** 6
-# bounds the eigh time and the real parity factors (2 x 8 MiB at 2048)
+# bounds the levels asked about and the columns of the judged rows (16 MiB at most)
 MAX_CUTOFF = 2048
+# a row entry below this is past the row's end: the row's weight beyond it is
+# below the rounding of its unit sum
+_ROW_END = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class UnitaryLCT:
-    """Truncated unitary as parity factors: each block is D V e^{iL} V^T D+."""
+class MetaplecticUnitary:
+    """U from S: U a U+ = u a + v a+, and <0|U|0> on U's own branch."""
 
     angles: ThetaAngles
     cutoff: int
-    phase: float
-    blocks: tuple
+    u_plus_v: complex
+    u_minus_v: complex
+    vacuum: complex
 
-    def __post_init__(self):
-        # E = V^T V - I bounds max|U+U - I| <= (2 + ||E||_2) ||E||_2 <= (2 + f) f
-        sizes = ((self.cutoff + 1) // 2, self.cutoff // 2)
-        if [(w.shape, v.shape) for w, v in self.blocks] != [((n,), (n, n)) for n in sizes]:
-            raise ValueError("operator mixes even and odd levels")
-        for evals, vecs in self.blocks:
-            if np.iscomplexobj(vecs) or not np.all(np.isfinite(np.append(evals, self.phase))):
-                raise ValueError("operator is not unitary: factors not real and finite")
-            f = float(np.linalg.norm(vecs.T @ vecs - np.eye(len(evals))))
-            if not (2.0 + f) * f <= UNITARITY_TOL:
-                raise ValueError(f"operator is not unitary: defect bound {(2.0 + f) * f:.3e}")
+    @property
+    def u(self) -> complex:
+        return (self.u_plus_v + self.u_minus_v) / 2
 
-    def leading_rows(self, m: int) -> tuple:
-        """U[p:m:2, p::2] for parity p = 0, 1: the first m rows of U, block by block."""
-        rows = []
-        for parity, (evals, vecs) in enumerate(self.blocks):
-            rot = np.exp(-1j * self.phase * np.arange(len(evals)))
-            lead = vecs[: (m + 1 - parity) // 2]
-            block = (lead * np.cos(evals)) @ vecs.T + 1j * ((lead * np.sin(evals)) @ vecs.T)
-            rows.append((rot[: len(lead), None] * block) * rot.conj()[None, :])
-        return tuple(rows)
+    @property
+    def v(self) -> complex:
+        return (self.u_plus_v - self.u_minus_v) / 2
+
+    def family(self) -> HermiteFamily:
+        """U phi_n as a Hermite family, read on `position_convention_unitary(u)`: U phi_0
+        is annihilated by u a + v a+, so it is exp(-tau xi^2/2), tau = (u + v)/(u - v)."""
+        with np.errstate(all="ignore"):  # an output off every grid is refused by the grid
+            tau = np.complex128(self.u_plus_v) / self.u_minus_v
+            s = abs(self.u_minus_v)  # 1/sqrt(Re tau), as det S = 1
+            return HermiteFamily(s, float(-tau.imag / 2), complex(np.conj(self.u_minus_v) / s),
+                                 complex(self.vacuum * np.sqrt((1.0 + tau) / 2)))
 
     @cached_property
-    def check_rows(self) -> tuple:
-        return self.leading_rows(self.cutoff // 4)  # the block the residual checks judge
+    def check_rows(self) -> np.ndarray:
+        """U[:b, :columns], b = cutoff/4: the rows the checks judge, over the columns they reach.
 
-    def apply(self, v) -> np.ndarray:
-        """U v for one vector of `cutoff` entries, per block as D V e^{iL} V^T D+ v."""
-        if np.shape(v) != (self.cutoff,):
-            raise DimensionMismatch(f"vector shape {np.shape(v)} does not match cutoff {self.cutoff}")
-        out = np.empty(self.cutoff, dtype=complex)
-        for parity, (evals, vecs) in enumerate(self.blocks):
-            rot = np.exp(-1j * self.phase * np.arange(len(evals)))
-            inner = np.exp(1j * evals) * (vecs.T @ (rot.conj() * v[parity::2]))
-            out[parity::2] = rot * (vecs @ inner)
-        return out
+        A row reaches about m (|u| + |v|)^2 columns and then decays by |v/u| every
+        two, which sizes the first try; the second runs to MAX_CUTOFF.
+        """
+        b, u, v = self.cutoff // 4, self.u, self.v
+        decay = math.log(abs(u) / abs(v)) if v else math.inf
+        reach = (abs(u) + abs(v)) ** 2 * b + (2 * math.log(1 / _ROW_END) / decay if decay > 0 else math.inf)
+        if reach <= MAX_CUTOFF:  # else refused without a try
+            for columns in sorted({min(MAX_CUTOFF, 2 * math.ceil(0.625 * reach) + 16), MAX_CUTOFF}):
+                rows = _twisted_rows(u, v, self.vacuum, b, columns)
+                end = np.flatnonzero(np.max(np.abs(rows), axis=0) >= _ROW_END)[-1] + 1
+                if end + 8 < columns:  # the rows ended before the truncation could reach them
+                    return rows[:, :end]
+        raise ValueError(f"angles {self.angles.triple()} spread the leading {b} rows of the "
+                         f"unitary past {MAX_CUTOFF} columns")
+
+
+def _vacuum_amplitude(angles: tuple, u: complex) -> complex:
+    """<0|U|0> = u^(-1/2) on the branch continued from the identity along exp(i s H).
+
+    u(s) = cosh(sr) - i (alpha/r) sinh(sr), alpha = t+/2, r^2 = (t-^2 + tx^2)/4 - alpha^2:
+    for r^2 >= 0 Re u > 0; else its argument stays within pi/2 of -sign(alpha) s sqrt(-r^2).
+    """
+    tp, tm, tx = angles
+    r2 = (tm * tm + tx * tx - tp * tp) / 4
+    reference = -math.copysign(math.sqrt(-r2), tp) if r2 < 0 else 0.0
+    arg = math.atan2(u.imag, u.real)
+    arg += 2 * math.pi * round((reference - arg) / (2 * math.pi))
+    return abs(u) ** -0.5 * complex(math.cos(arg / 2), -math.sin(arg / 2))
+
+
+def build_unitary(angles: ThetaAngles, cutoff: int) -> MetaplecticUnitary:
+    """U of the angles, asked about its first `cutoff` levels."""
+    if cutoff < 16:
+        raise CutoffTooSmall("unitary construction needs cutoff >= 16")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"unitary cutoff must be <= {MAX_CUTOFF}")
+    triple = angles.triple()  # refuses angles that are not one-dimensional
+    try:
+        with np.errstate(all="ignore"):
+            (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(angles, EUCLIDEAN_1D)))
+    except ConstraintViolation as exc:
+        raise ValueError(f"angles {triple} have no finite group element: {exc}") from exc
+    u_plus_v, u_minus_v = complex(pi, -xi), complex(la, th)
+    vacuum = _vacuum_amplitude(triple, (u_plus_v + u_minus_v) / 2)
+    return MetaplecticUnitary(angles, cutoff, u_plus_v, u_minus_v, vacuum)
+
+
+def position_convention_unitary(u: MetaplecticUnitary) -> MetaplecticUnitary:
+    """U in the phase convention of the real Hermite-Gaussian family: the pair (u, -v).
+
+    The number basis carries an extra i^n per level against the wavefunctions, so
+    projected coefficients see D U D+, D = diag(i^n), and D a D+ = -i a.
+    """
+    return replace(u, u_plus_v=u.u_minus_v, u_minus_v=u.u_plus_v)
+
+
+def _twisted_rows(u: complex, v: complex, vacuum: complex, b: int, columns: int) -> np.ndarray:
+    """The leading b rows of U over an even number of columns.
+
+    Row m solves x K = (2m+1)/4 x, K = U+ b+ U = (|u|^2 + |v|^2) b+ + w a^2 + conj(w) a+^2,
+    w = -conj(uv)/2.  Within a parity K = D T D+, D = diag(exp(-i j arg w)), T real
+    tridiagonal, so the row is conj(D z) for T z = (2m+1)/4 z, solved outwards from the
+    twist where T - lambda = L D L^T = U R U^T meet best.  Row m's phase follows from
+    <m|U = <m-1|U (conj(u) a - v a+)/sqrt(m), row 0's from <0|U|0>.
+    """
+    n, m = columns // 2, np.arange(b)
+    p, j = m % 2, np.arange(n)[:, None]  # arrays are (j, m)
+    a = (abs(u) ** 2 + abs(v) ** 2) * (4 * j + 2 * p + 1) / 4 - (2 * m + 1) / 4
+    e2 = abs(u * v) ** 2 / 4 * (2 * j + p + 1.0) * (2 * j + p + 2.0)  # couples j and j + 1
+    d, r, tiny = a.copy(), a.copy(), np.finfo(float).tiny  # tiny stands in for a zero pivot
+    for i, k in zip(range(1, n), range(n - 2, -1, -1)):  # d downwards, r upwards
+        d[i - 1][d[i - 1] == 0] = tiny
+        d[i] -= e2[i - 1] / d[i - 1]
+        r[k + 1][r[k + 1] == 0] = tiny
+        r[k] -= e2[k] / r[k + 1]
+    twist, e = np.argmin(np.abs(d + r - a), axis=0), np.sqrt(e2)
+    z = np.zeros_like(a)
+    z[twist, m] = 1.0
+    for i, k in zip(range(1, n), range(n - 2, -1, -1)):  # outwards from the twist
+        z[k] = np.where(k < twist, -(e[k] / d[k]) * z[k + 1], z[k])
+        z[i] = np.where(i > twist, -(e[i - 1] / r[i]) * z[i - 1], z[i])
+    z /= np.linalg.norm(z, axis=0)
+    conj_d = np.exp(1j * np.angle(-np.conj(u * v)) * np.arange(n))
+    rows = np.zeros((b, columns), dtype=complex)
+    for parity in (0, 1):
+        rows[parity::2, parity::2] = z[:, parity::2].T * conj_d
+    image = np.zeros_like(rows)
+    root = np.sqrt(np.arange(1, columns))
+    image[1:, 1:] = np.conj(u) * root * rows[:-1, :-1]
+    image[1:, :-1] -= v * root * rows[:-1, 1:]
+    overlap = np.sum(image[1:] * rows[1:].conj(), axis=1)
+    phase = np.cumprod(np.concatenate([[vacuum / rows[0, 0]], overlap / np.abs(overlap)]))
+    return rows * (phase / np.abs(phase[0]))[:, None]
 
 
 def generator_bands(cutoff: int):
@@ -112,64 +189,37 @@ def _group_rows(s) -> list:
             [float(s.Theta[0, 0]), float(s.Lambda[0, 0])]]
 
 
-def build_unitary(angles: ThetaAngles, cutoff: int) -> UnitaryLCT:
-    """Factor the Hermitian angle combination one parity block at a time."""
-    if cutoff < 16:
-        raise CutoffTooSmall("unitary construction needs cutoff >= 16")
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"unitary cutoff must be <= {MAX_CUTOFF}")
-    tp, tm, tx = angles.triple()  # refuses angles that are not one-dimensional
-    bp, bm, bx = generator_bands(cutoff)
-    with np.errstate(all="ignore"):  # an overflow is refused below, by name
-        diagonal, band = tp * bp[0].real, np.abs(tm * bm[2] + tx * bx[2])
-    for what, part in (("theta_plus", diagonal), ("theta_minus with theta_cross", band)):
-        if not np.all(np.isfinite(part)):
-            raise ValueError(f"{what} overflows the generator at cutoff {cutoff}: {angles.triple()}")
-    blocks = []
-    for parity in (0, 1):
-        d, e = diagonal[parity::2], band[parity::2]
-        blocks.append(np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return UnitaryLCT(angles, cutoff, np.angle(complex(tm, tx)), tuple(blocks))
+def _leading_conjugate(u: MetaplecticUnitary, bands: dict) -> np.ndarray:
+    """The leading cutoff/4 block of U A U+, as (R A) R+ with R A summed band by band.
 
-
-def _leading_conjugate(u: UnitaryLCT, bands: dict) -> np.ndarray:
-    """The leading cutoff/4 block of U A U+, one parity pair (p, q) at a time.
-
-    Rows of parity p meet only columns of parity p.  The band of A at offset k
-    joins p to q = p + k (mod 2) as the band at offset (k - q + p)/2 of
-    A[p::2, q::2], read from the diagonal at the parity of min(row, column); it
-    is summed into rows @ A_pq one diagonal at a time.
+    Callers build the bands two levels past the rows' columns, so the entry a
+    truncation distorts, the last one of b+, meets no row.
     """
-    rows, rows_a = u.check_rows, {}
-    for k, diagonal in sorted(bands.items()):
-        for p, q in ((0, k % 2), (1, 1 - k % 2)):
-            acc = rows_a.setdefault((p, q), np.zeros((len(rows[p]), rows[q].shape[1]), complex))
-            a, s = max((k - q + p) // 2, 0), max((q - p - k) // 2, 0)
-            n = min(acc.shape[1] - a, rows[p].shape[1] - s)
-            acc[:, a:a + n] += rows[p][:, s:s + n] * diagonal[(p if k >= 0 else q)::2][:n]
-    out = np.zeros((u.cutoff // 4,) * 2, dtype=complex)
-    for (p, q), acc in rows_a.items():
-        out[p::2, q::2] = acc @ rows[q].conj().T
-    return out
+    rows = u.check_rows
+    rows_a = np.zeros_like(rows)
+    for k, diagonal in bands.items():
+        n = rows.shape[1] - abs(k)  # A[i + max(-k, 0), i + max(k, 0)] = diagonal[i]
+        rows_a[:, max(k, 0):max(k, 0) + n] += rows[:, max(-k, 0):max(-k, 0) + n] * diagonal[:n]
+    return rows_a @ rows.conj().T
 
 
-def _report_head(u: UnitaryLCT, check: str) -> dict:
+def _report_head(u: MetaplecticUnitary, check: str) -> dict:
     """Leading keys of a residual report; refuses a cutoff too small to judge."""
     if u.cutoff < CHECK_MIN_CUTOFF:
         raise CutoffTooSmall(f"{check} check needs cutoff >= {CHECK_MIN_CUTOFF}")
     return {"angles": u.angles.triple(), "cutoff": u.cutoff, "block": u.cutoff // 4}
 
 
-def verify_homomorphism(u: UnitaryLCT, tol: float) -> dict:
+def verify_homomorphism(u: MetaplecticUnitary, tol: float) -> dict:
     """Compare U p U+, U x U+ against the classical matrix action.
 
-    Both sides are computed independently: the quantum side by conjugation
-    with the built U, the classical side from the 2x2 matrix exponential of
-    its angles.  Residuals are taken on the leading cutoff/4 block.
+    The quantum side conjugates with the leading rows of U, the classical side
+    is the 2x2 matrix exponential of its angles; both come from one S.
+    Residuals are taken on the leading cutoff/4 block.
     """
     head = _report_head(u, "homomorphism")
     block = head["block"]
-    p_hat, x_hat = quadrature_bands(u.cutoff)
+    p_hat, x_hat = quadrature_bands(u.check_rows.shape[1] + 2)
     (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(u.angles, EUCLIDEAN_1D)))
     lhs_p, lhs_x = _leading_conjugate(u, p_hat), _leading_conjugate(u, x_hat)
     p_lead, x_lead = _dense(p_hat, block), _dense(x_hat, block)
@@ -218,7 +268,7 @@ def rationalize_symplectic(s) -> list:
     return [[rpi, rxi], [rth, rla]]
 
 
-def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
+def verify_basis_transformation(u: MetaplecticUnitary, tol: float) -> dict:
     """Check the generator transformation law against numerical conjugation.
 
     The engine-derived coefficient rows come from the exact symbolic
@@ -230,7 +280,7 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
     block = report["block"]
     s = exp_sp(from_angles(u.angles, EUCLIDEAN_1D))
     engine_rows = engine_transform_rows(rationalize_symplectic(s))
-    gens = dict(zip(("+", "-", "x"), generator_bands(u.cutoff)))
+    gens = dict(zip(("+", "-", "x"), generator_bands(u.check_rows.shape[1] + 2)))
     bp_lead, bm_lead, bx_lead = (_dense(g, block) for g in gens.values())
     printed_rows = printed_transform_rows(_group_rows(s))
 
@@ -252,21 +302,3 @@ def verify_basis_transformation(u: UnitaryLCT, tol: float) -> dict:
         }
     report.update(max_residual=worst, passed=worst < tol)
     return report
-
-
-def position_convention_unitary(u: UnitaryLCT) -> UnitaryLCT:
-    """U in the phase convention of the real Hermite-Gaussian family.
-
-    The number basis used here fixes its phases by the ladder action
-    sqrt(n) |n-1> without any phase factor; relative to the wavefunction
-    family (real up to the plane-wave factor) that convention carries an
-    extra i^n per level.  Re-expressing U for coefficient vectors obtained by
-    projecting onto the wavefunctions is the diagonal conjugation D U D+ with
-    D = diag(i^n).  Without it a coordinate squeeze would act as its inverse
-    on sampled data.  In a parity block D U D+ multiplies entry (2j+p, 2k+p)
-    by i^(2(j-k)) = exp(-i pi (j-k)): the band phase moved by pi.  The result
-    serves `apply`; the verify checks use the number-basis U.
-    """
-    shifted = object.__new__(UnitaryLCT)  # u's factors, gated when u was built
-    vars(shifted).update({f.name: getattr(u, f.name) for f in fields(u)}, phase=u.phase + np.pi)
-    return shifted

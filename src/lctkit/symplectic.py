@@ -27,7 +27,6 @@ from .weyl import Metric, EUCLIDEAN_1D
 CONSTRUCTION_TOL = 1e-12  # block constraints, checked when objects are built
 # relative symplectic defect, max|S^T J S - J| / max(1, max|S_ij|)^2, allowed
 EXPONENTIAL_TOL = 1e-10  # after an exponential
-COMPOSITION_TOL = 1e-9  # after products/inverses
 
 _SERIES_ORDER = 12
 _SCALE_THRESHOLD = 0.5
@@ -218,12 +217,6 @@ def exp_sl2(m: AlgebraMatrix) -> SymplecticMatrix:
     return exp_sp(m)
 
 
-def is_symplectic(s: SymplecticMatrix, tol: float) -> bool:
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    return s.symplectic_defect() < tol
-
-
 def _require_symplectic(s: SymplecticMatrix, tol: float, what: str):
     # S^T J S scales like max|S_ij|^2, so roundoff in it does too; a nan defect
     # (overflowed entries) is refused as well.  scale ** 2 raises past 1.3e154
@@ -231,21 +224,3 @@ def _require_symplectic(s: SymplecticMatrix, tol: float, what: str):
     defect = s.symplectic_defect() / scale / scale
     if not defect < tol:
         raise ConstraintViolation(f"{what} has relative symplectic defect {defect:.3e} >= {tol}")
-
-
-def compose(s1: SymplecticMatrix, s2: SymplecticMatrix) -> SymplecticMatrix:
-    """Matrix product s1 @ s2; in the row convention s2 acts after s1."""
-    if s1.metric != s2.metric:
-        raise DimensionMismatch("cannot compose across different metrics")
-    out = SymplecticMatrix.from_full(s1.metric, s1.full() @ s2.full())
-    _require_symplectic(out, COMPOSITION_TOL, "composition")
-    return out
-
-
-def invert(s: SymplecticMatrix) -> SymplecticMatrix:
-    """Closed-form inverse J_eta^-1 S^t J_eta from the symplectic condition."""
-    j = j_eta(s.metric)
-    jinv = -j  # J_eta^2 = -1 for any signature
-    out = SymplecticMatrix.from_full(s.metric, jinv @ s.full().T @ j)
-    _require_symplectic(out, COMPOSITION_TOL, "inverse")
-    return out

@@ -14,9 +14,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lct_oracles import eigh_position_convention, eigh_unitary
 
 import lctkit
-from lctkit import cli, fock, hermite, metaplectic, tables
+from lctkit import cli, fock, hermite, metaplectic, symplectic, tables
 from lctkit.cli import _wavefunction_csv, main
 
 
@@ -180,8 +181,9 @@ def test_verify_numerical_cutoff_below_check_block_is_usage_error(runner, cutoff
 
 
 def test_verify_failure_exit_code(runner):
+    # the true rows hold the homomorphism to about 4e-15 here; a tol below that fails
     result = runner.invoke(main, ["verify", "--homomorphism", "--angles", "0.5,0.5,-0.5",
-                                  "--cutoff", "32", "--tol", "1e-12"])
+                                  "--cutoff", "32", "--tol", "1e-16"])
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["counts"]["fail"] == 1
@@ -428,7 +430,7 @@ def test_numeric_cutoff_above_limit_is_refused_before_building(
     def builder(*args):
         raise _Built
 
-    monkeypatch.setattr(np.linalg, "eigh", builder)
+    monkeypatch.setattr(metaplectic, "_twisted_rows", builder)
     monkeypatch.setattr(hermite, "project", builder)
     if command == "transform":
         wf_path = str(tmp_path / "wf.csv")
@@ -454,6 +456,44 @@ def test_verify_refuses_a_numerical_cutoff_before_any_table(runner, monkeypatch)
     result = runner.invoke(main, ["verify", "--table", "Eq75", "--signature", "4,0",
                                   "--homomorphism", "--cutoff", "4096"])
     _assert_refused(result, "cutoff must be <= 2048")
+
+
+def test_verify_refuses_rows_past_the_column_limit_before_any_table(runner, monkeypatch):
+    monkeypatch.setattr(tables, "verify_table", _unreachable)
+    result = runner.invoke(main, ["verify", "--table", "Eq75", "--signature", "4,0",
+                                  "--homomorphism", "--angles", "0,0,3", "--cutoff", "1024"])
+    _assert_refused(result, "spread the leading 256 rows of the unitary past 2048 columns")
+
+
+def test_verify_both_checks_pass_at_a_corner_at_the_smallest_cutoff(runner):
+    # a unitary truncated at 32 levels gives a basis-law residual of 7.1e-6 here
+    result = runner.invoke(main, ["verify", "--homomorphism", "--basis-law", "--angles",
+                                  "0.5,0.5,0.5", "--cutoff", "32"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["counts"]["fail"] == 0
+
+
+def test_verify_all_passes_at_a_benchmark_warm_up_draw(runner):
+    # seed 141's first draw in perfbench/workloads, about (0.236, 0.497, -0.498),
+    # where a unitary truncated at 32 levels misses the basis law's tol 1e-6
+    angles = np.random.default_rng(141).uniform(-0.5, 0.5, 3)
+    result = runner.invoke(main, ["verify", "--signature", "1,0", "--all", "--cutoff", "32",
+                                  "--angles=" + ",".join(repr(float(a)) for a in angles)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["counts"]["fail"] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_basis_plane_wave_that_overflows_is_refused(runner):
+    # P x overflows to inf in exp(iPx), which would print nan at every x but 0
+    result = runner.invoke(main, ["basis", "-n", "3", "--p0", "1.7e308", "--grid=-40:40:5"])
+    _assert_refused(result, "P = 1.7e+308 overflows the plane-wave phase P * x on this grid")
+
+
+def test_basis_default_grid_that_rounds_to_one_point_is_refused(runner):
+    # X +- 10 sqrt(A) rounds back to X: all 1001 rows would sit at x = 1.7e+308
+    result = runner.invoke(main, ["basis", "--x0", "1.7e308", "--b", "1e-300"])
+    _assert_refused(result, "grid [1.7e+308, 1.7e+308] has no 1001 distinct points")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -563,11 +603,16 @@ def test_expmap_large_squeeze_passes_relative_gate(runner):
     assert json.loads(result.stdout)["symplectic_residual"] > 1.0
 
 
-def test_verify_large_squeeze_is_a_failed_check_not_a_usage_error(runner):
+def test_verify_large_squeeze_is_refused_by_name(runner, monkeypatch):
+    # the rows of a squeeze by e^20 reach ~16 * e^40 columns; nothing is built for them
+    monkeypatch.setattr(metaplectic, "_twisted_rows", _unreachable)
     result = runner.invoke(main, ["verify", "--homomorphism", "--angles", "0,0,40"])
-    assert result.exit_code == 1, result.output
-    payload = json.loads(result.stdout)
-    assert [c["status"] for c in payload["checks"]] == ["fail"]
+    _assert_refused(result, "angles (0.0, 0.0, 40.0) spread the leading 16 rows of the "
+                            "unitary past 2048 columns")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached a builder for a refused input")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -591,19 +636,19 @@ def _peak_traced_bytes(runner, args):
     return peak
 
 
-# one cutoff x cutoff complex array at cutoff 1024 is 16 MiB; the parity
-# factors and the leading rows stay below it, a dense U (or U A U+) on top of
-# them does not.  The verify peak was 14.4 MiB, so the headroom is only ~10%,
-# and it does not grow with the cutoff (the factors, the leading rows and a
-# dense U all scale as cutoff^2): a failure may be unrelated memory growth on
-# the verify path rather than a dense unitary.
+# one cutoff x cutoff complex array at cutoff 1024 is 16 MiB; the leading
+# rows and the arrays of their factorisation stay below it, a dense U (or
+# U A U+) on top of them does not.  The verify peak was 10.5 MiB at angles
+# (0.3, -0.2, 0.25); the rows, their factorisation and a dense U all scale as
+# cutoff^2, so a failure may be unrelated memory growth on the verify path
+# rather than a dense unitary.
 _DENSE_CUTOFF = 1024
 _DENSE_BYTES = _DENSE_CUTOFF ** 2 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("angles", ["0,0,0", "0.3,-0.2,0.25"])
 def test_verify_never_forms_the_dense_unitary(runner, angles):
-    # the checks judge the leading cutoff/4 block from the parity factors
+    # the checks judge the leading cutoff/4 block from the leading rows alone
     args = ["verify", "--homomorphism", "--basis-law", "--cutoff", str(_DENSE_CUTOFF),
             "--angles", angles]
     peak = _peak_traced_bytes(runner, args)
@@ -611,7 +656,7 @@ def test_verify_never_forms_the_dense_unitary(runner, angles):
 
 
 def test_transform_never_forms_the_dense_unitary(runner, tmp_path):
-    # transform applies U to the coefficient vector from the parity factors
+    # transform synthesises in the transformed family and forms no unitary at all
     wf_path = str(tmp_path / "wf.csv")
     _write_ground_state(runner, wf_path, n=1)
     spec = tmp_path / "spec.json"
@@ -655,13 +700,14 @@ def _assert_refused(result, message):
     assert "Traceback" not in result.output
 
 
-# each of these once raised past the command with exit 1
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# each of these once raised past the command with exit 1; each is refused
+# with no RuntimeWarning on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("field,message", [
-    ("theta_minus", "theta_minus with theta_cross overflows the generator at cutoff 32"),
-    ("theta_cross", "theta_minus with theta_cross overflows the generator at cutoff 32"),
-    ("theta_plus", "theta_plus overflows the generator at cutoff 32"),
-    ("P", "cutoff 32 captures input weight nan"),
+    ("theta_minus", "angles (0.1, 1.7e+308, 0.0) have no finite group element"),
+    ("theta_cross", "angles (0.1, 0.0, 1.7e+308) have no finite group element"),
+    ("theta_plus", "angles (1.7e+308, 0.0, 0.0) have no finite group element"),
+    ("P", "P = 1.7e+308 overflows the plane-wave phase P * x on this grid"),
 ])
 def test_transform_extreme_spec_is_usage_error(runner, tmp_path, field, message):
     result = runner.invoke(main, _transform_args(tmp_path, **{field: 1.7e308}))
@@ -727,10 +773,57 @@ def test_transform_refuses_an_input_the_cutoff_does_not_capture(runner, tmp_path
     assert "output left" not in result.output
 
 
-def test_transform_refuses_an_output_that_left_the_truncated_space(runner, tmp_path):
-    # the input is captured, but the squeeze moves weight past level 64
-    result = runner.invoke(main, _transform_args(tmp_path, theta_cross=4.0, cutoff=64))
-    _assert_refused(result, "output left the truncated space: norm^2 = 0.9999")
+@pytest.mark.parametrize("cutoff", [16, 32, 64])
+@pytest.mark.parametrize("theta_cross", [2.0, 4.0])
+def test_transform_squeezes_the_golden_input_exactly_at_any_cutoff(runner, tmp_path, theta_cross,
+                                                                    cutoff):
+    # only theta_cross acts, so dx^2 scales by exp(-theta_cross) exactly at any
+    # cutoff: the cutoff bounds the input's levels, not the output's
+    out = str(tmp_path / "out.csv")
+    args = ["--output", out, *_transform_args(tmp_path, theta_plus=0.0, theta_cross=theta_cross,
+                                               cutoff=cutoff)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    moments = json.loads(Path(out + ".meta.json").read_text())
+    want = moments["before"]["dx2"] * math.exp(-theta_cross)
+    assert abs(moments["after"]["dx2"] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("angles", [(0.3, -0.2, 0.25), (0.5, 0.5, -0.5), (-0.5, 0.5, 0.5),
+                                    (0.0, 0.0, 0.5), (0.5, 0.0, 0.0), (0.1, -0.5, 0.2)])
+def test_transform_matches_the_eigh_oracle_at_cutoff_256(runner, tmp_path, angles):
+    # the route transform took before: project, U c from the unitary truncated at
+    # 256 levels, synthesise in the basis; exact to rounding for these angles
+    out = str(tmp_path / "out.csv")
+    fields = dict(zip(("theta_plus", "theta_minus", "theta_cross"), angles), cutoff=256)
+    result = runner.invoke(main, ["--output", out, *_transform_args(tmp_path, **fields)])
+    assert result.exit_code == 0, result.output
+    wf = cli._read_wavefunction(_GOLDEN_WF)
+    params = hermite.BasisParams(0.3, 0.2, 0.5)
+    oracle = eigh_position_convention(eigh_unitary(symplectic.ThetaAngles.one_dim(*angles), 256))
+    image = oracle.apply(hermite.project(wf, params, 256).coeffs)
+    want = hermite.synthesize(hermite.CoefficientExpansion(params, 256, image), wf.grid).values
+    got = np.array([v for _, v in _rows(Path(out).read_text())])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("theta_cross,message", [
+    (50.0, "output width 1.38879438649"),  # exact dx^2 is 3e-22, on a 0.03 spacing
+    (8.0, "output width 0.0183156388"),
+    (-4.0, "grid [-12.0, 12.0] does not cover 0.3 +- 41.79881339"),
+])
+def test_transform_refuses_an_output_the_input_grid_cannot_hold(runner, tmp_path, theta_cross,
+                                                                  message):
+    result = runner.invoke(main, _transform_args(tmp_path, theta_plus=0.0, theta_cross=theta_cross))
+    _assert_refused(result, f"the input grid cannot hold the output of angles "
+                            f"(0.0, 0.0, {theta_cross!r}): ")
+    assert message in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transform_refuses_an_angle_with_no_finite_group_element(runner, tmp_path):
+    result = runner.invoke(main, _transform_args(tmp_path, theta_plus=0.0, theta_cross=1e300))
+    _assert_refused(result, "angles (0.0, 0.0, 1e+300) have no finite group element")
 
 
 _ANY_FLOAT = st.one_of(

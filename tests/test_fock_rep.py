@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from lct_oracles import truncated_commutator_check
 
 from lctkit.fock import (
     CutoffTooSmall,
@@ -11,7 +12,6 @@ from lctkit.fock import (
     ladder_bands,
     ladder_matrices,
     sigma_operators,
-    truncated_commutator_check,
 )
 
 

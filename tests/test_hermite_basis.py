@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from lct_oracles import hermite_polynomial
+from lct_oracles import hermite_polynomial, phi_tilde
 
 from lctkit.hermite import (
     BasisParams,
@@ -15,7 +15,6 @@ from lctkit.hermite import (
     SampledWavefunction,
     dispersion_estimate,
     phi,
-    phi_tilde,
     project,
     synthesize,
 )

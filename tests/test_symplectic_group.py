@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lct_oracles import COMPOSITION_TOL, compose, invert, is_symplectic
+
 from lctkit.symplectic import (
-    COMPOSITION_TOL,
     EXPONENTIAL_TOL,
     AlgebraMatrix,
     ConstraintViolation,
     DimensionMismatch,
     SymplecticMatrix,
     ThetaAngles,
-    compose,
     exp_sl2,
     exp_sp,
     from_angles,
-    invert,
-    is_symplectic,
     j_eta,
 )
 from lctkit.weyl import EUCLIDEAN_1D, Metric

@@ -1,26 +1,36 @@
-"""Parity-split unitary against the dense eigendecomposition it replaced.
+"""The eigh oracle's parity split, and the unitary read off S against it.
 
-The reference exponentiates the full dense generator with one complex
-`eigh`, and conjugates with full matrix products.  It forms b = J/(4B) at its
-own B, so the quarter normalisation of `generator_bands` is checked too.  The
-factor form of `UnitaryLCT` is checked against the dense matrix it stands
-for: its assembly, its leading rows, and its unitarity gate against the dense
-max|U+U - I| check on planted defects.
+`lct_oracles.eigh_unitary` exponentiates the truncated generator one real
+eigendecomposition per parity block.  Its factor form is checked here against
+the dense matrix it stands for (assembly, leading rows, `apply`, and its
+unitarity gate against the dense max|U+U - I| check on planted defects), and
+against one complex `eigh` of the dense generator formed at its own B, so the
+quarter normalisation of `generator_bands` is checked too.  The unitary of
+`metaplectic` is then judged against it: the residuals of both checks against
+dense conjugation, the parity bookkeeping of the leading conjugate, and the
+transformed family of `transform` against the oracle's `apply`.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from lct_oracles import unitary_matrix
+from lct_oracles import (
+    UNITARITY_TOL,
+    EighUnitary,
+    eigh_position_convention,
+    eigh_unitary,
+    rows_matrix,
+    unitary_matrix,
+)
 
 from lctkit.fock import _dense, dispersion_bands
+from lctkit.hermite import BasisParams, CoefficientExpansion, synthesize
 from lctkit.metaplectic import (
-    UNITARITY_TOL,
-    UnitaryLCT,
     _leading_conjugate,
     build_unitary,
     generator_bands,
+    position_convention_unitary,
     quadrature_bands,
     verify_basis_transformation,
     verify_homomorphism,
@@ -59,7 +69,7 @@ def dense_leading_conjugate(u, a, block):
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_parity_split_matches_dense(angles, cutoff):
-    got = unitary_matrix(build_unitary(ThetaAngles.one_dim(*angles), cutoff))
+    got = unitary_matrix(eigh_unitary(ThetaAngles.one_dim(*angles), cutoff))
     assert np.max(np.abs(got - dense_unitary(angles, 1.3, cutoff))) <= 1e-12
     assert not np.any(got[0::2, 1::2])
     assert not np.any(got[1::2, 0::2])
@@ -71,9 +81,10 @@ def _close(got, want, judged):
 
 @pytest.mark.parametrize("angles", [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.5, 0.5, -0.5)])
 def test_leading_block_residuals_match_dense_conjugation(angles):
-    cutoff, B = 128, 1.0
-    u = dense_unitary(angles, B, cutoff)
-    p_hat, x_hat = (_dense(q, cutoff) for q in quadrature_bands(cutoff))
+    # the dense U is truncated at 512 levels, far past where the 32 judged rows end
+    cutoff, dense_cutoff, B = 128, 512, 1.0
+    u = dense_unitary(angles, B, dense_cutoff)
+    p_hat, x_hat = (_dense(q, dense_cutoff) for q in quadrature_bands(dense_cutoff))
     built = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
 
     hom = verify_homomorphism(built, 1e-6)
@@ -88,7 +99,7 @@ def test_leading_block_residuals_match_dense_conjugation(angles):
         assert _close(hom[key], np.max(np.abs(lhs - want)), lhs)
 
     law = verify_basis_transformation(built, 1e-6)
-    gens = {k: _dense(g, cutoff) for k, g in zip("+-x", quarter_normalised(B, cutoff))}
+    gens = {k: _dense(g, dense_cutoff) for k, g in zip("+-x", quarter_normalised(B, dense_cutoff))}
     leads = [g[:block, :block] for g in gens.values()]
     for kind, row in law["rows"].items():
         lhs = dense_leading_conjugate(u, gens[kind], block)
@@ -106,7 +117,7 @@ def identity_factors(cutoff):
 
 
 def _factor_unitary(cutoff, blocks, phase=0.0):
-    return UnitaryLCT(ThetaAngles.one_dim(0, 0, 0), cutoff, phase, tuple(blocks))
+    return EighUnitary(ThetaAngles.one_dim(0, 0, 0), cutoff, phase, tuple(blocks))
 
 
 def test_parity_mixing_operator_is_rejected():
@@ -187,7 +198,7 @@ def planted_defects(blocks):
 @pytest.mark.parametrize("cutoff", [16, 33, 256])
 @pytest.mark.parametrize("angles", [(0.7, 0.0, 0.0), (0.0, 0.7, 0.0), (0.3, -0.2, 0.25)])
 def test_factor_gate_refuses_every_defect_the_dense_check_refuses(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
     assert not dense_refuses(u.phase, u.blocks)
     refused = 0
     for name, parity, block in planted_defects(u.blocks):
@@ -207,14 +218,17 @@ def test_factor_gate_refuses_every_defect_the_dense_check_refuses(angles, cutoff
 
 @pytest.mark.parametrize("cutoff", [16, 33, 256])
 @pytest.mark.parametrize("angles", [(0.0, 0.0, 0.7), (0.3, -0.2, 0.25)])
-def test_flipped_band_phase_passes_both_gates_and_fails_the_residual(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+def test_flipped_band_phase_passes_both_gates_and_the_true_rows_tell_it_apart(angles, cutoff):
+    u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
     flipped = dataclasses.replace(u, phase=-u.phase)
     assert not dense_refuses(flipped.phase, flipped.blocks)
     assert np.max(np.abs(unitary_matrix(flipped) - unitary_matrix(u))) > 1e-3
-    if cutoff >= 32:
-        assert verify_homomorphism(u, 1e-6)["passed"]
-        assert verify_homomorphism(flipped, 1e-6)["max_residual"] > 1e-6
+    # the flipped first rows are not the true ones; at 256 levels the oracle's are
+    true = build_unitary(ThetaAngles.one_dim(*angles), 16).check_rows
+    width = min(true.shape[1], cutoff)
+    for oracle, differs in ((flipped, True), (u, False)):
+        gap = np.max(np.abs(rows_matrix(oracle.leading_rows(4))[:, :width] - true[:, :width]))
+        assert gap > 1e-3 if differs else (cutoff < 256 or gap <= 1e-13)
 
 
 @pytest.mark.parametrize("cutoff", [16, 17, 33, 64, 255, 256, 511, 1024])
@@ -222,13 +236,13 @@ def test_every_built_unitary_passes_the_factor_gate(cutoff):
     rng = np.random.default_rng(cutoff)
     angle_sets = EDGE_ANGLES + [(2.0, -2.0, 2.0)] + [tuple(rng.uniform(-2, 2, 3)) for _ in range(3)]
     for angles in angle_sets:
-        u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+        u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
         if cutoff <= 256:
             assert not dense_refuses(u.phase, u.blocks), angles
 
 
 def reference_unitary(angles, cutoff):
-    """The dense assembly `build_unitary` made before the factor form, verbatim."""
+    """The dense assembly the eigh route made before its factor form, verbatim."""
     tp, tm, tx = angles
     bp, bm, bx = generator_bands(cutoff)
     diagonal = tp * bp[0].real
@@ -252,14 +266,14 @@ UNEVEN_CUTOFFS = [17, 33, 36, 45, 257]
 @pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS + [16, 1024])
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_dense_view_is_the_reference_assembly_byte_for_byte(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
     assert np.array_equal(unitary_matrix(u), reference_unitary(angles, cutoff))
 
 
 @pytest.mark.parametrize("cutoff", UNEVEN_CUTOFFS)
 @pytest.mark.parametrize("angles", [(0.3, -0.2, 0.25), (0.5, 0.5, -0.5), (2.0, -1.5, 1.7)])
 def test_leading_rows_match_the_dense_view(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
     dense = unitary_matrix(u)
     for m in sorted({1, 2, 3, 8, 9, cutoff // 4, cutoff // 2 + 1, cutoff - 1, cutoff}):
         rows = np.zeros((m, cutoff), dtype=complex)
@@ -272,7 +286,7 @@ def test_leading_rows_match_the_dense_view(angles, cutoff):
 @pytest.mark.parametrize("cutoff", [16, 17, 33, 36, 45, 256, 257])
 @pytest.mark.parametrize("angles", EDGE_ANGLES)
 def test_apply_matches_the_dense_view(angles, cutoff):
-    u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
+    u = eigh_unitary(ThetaAngles.one_dim(*angles), cutoff)
     rng = np.random.default_rng(cutoff)
     for v in (rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff), np.eye(cutoff)[cutoff - 1]):
         got = u.apply(v)
@@ -280,10 +294,29 @@ def test_apply_matches_the_dense_view(angles, cutoff):
 
 
 def test_apply_refuses_a_vector_of_another_length():
-    u = build_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 33)
+    u = eigh_unitary(ThetaAngles.one_dim(0.3, -0.2, 0.25), 33)
     for v in (np.ones(32), np.ones(34), np.ones((1, 33)), np.ones(0)):
         with pytest.raises(DimensionMismatch, match="does not match cutoff 33"):
             u.apply(v)
+
+
+@pytest.mark.parametrize("cutoff", [16, 17, 33, 256])
+@pytest.mark.parametrize("angles", EDGE_ANGLES)
+def test_transformed_family_matches_the_oracle_apply(angles, cutoff):
+    # what `transform` synthesises, sum_n c_n U phi_n in the transformed family,
+    # against U c from the oracle, truncated far past the levels U c reaches
+    params = BasisParams(0.3, 0.2, 0.5)
+    rng = np.random.default_rng(cutoff)
+    coeffs = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+    coeffs /= np.linalg.norm(coeffs)
+    grid = np.linspace(-45.0, 45.0, 4501)
+    family = position_convention_unitary(build_unitary(ThetaAngles.one_dim(*angles), cutoff)).family()
+    got = synthesize(CoefficientExpansion(params, cutoff, coeffs), grid, family).values
+    wide = 4 * cutoff + 64
+    oracle = eigh_position_convention(eigh_unitary(ThetaAngles.one_dim(*angles), wide))
+    image = oracle.apply(np.concatenate([coeffs, np.zeros(wide - cutoff)]))
+    want = synthesize(CoefficientExpansion(params, wide, image), grid).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def dense_operators(B, cutoff):
@@ -314,13 +347,15 @@ def band_operators(cutoff):
 @pytest.mark.parametrize("cutoff", [32, 33, 128, 17, 36, 45, 257])
 @pytest.mark.parametrize("angles", [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.0, 0.7, -0.5)])
 def test_leading_conjugate_of_every_band_operator_matches_dense(angles, cutoff):
+    # the parity bookkeeping against dense products of the same rows
     B = 1.3
     u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
-    block = cutoff // 4
-    dense = dense_operators(B, cutoff)
-    for name, bands in band_operators(cutoff).items():
+    block, columns = cutoff // 4, u.check_rows.shape[1] + 2
+    rows = np.pad(u.check_rows, ((0, 0), (0, 2)))
+    dense = dense_operators(B, columns)
+    for name, bands in band_operators(columns).items():
         a = dense[name]
-        assert np.max(np.abs(_dense(bands, cutoff) - a)) <= 1e-15 * np.max(np.abs(a)), name
+        assert np.max(np.abs(_dense(bands, columns) - a)) <= 1e-15 * np.max(np.abs(a)), name
         got = _leading_conjugate(u, bands)
-        want = dense_leading_conjugate(unitary_matrix(u), a, block)
+        want = (rows @ a @ rows.conj().T)[:block, :block]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(a)), name
