@@ -18,6 +18,8 @@ the identity.  Both commands use that one object, and nothing truncates U:
   columns are refused by name.  The Bargmann recurrence of Miatto & Quesada
   (Quantum 4, 366 (2020)) gives the same rows, but its rounding error grows
   with the row: 2.5e-3 at row 255 at angles (0.5, 0.5, -0.5), against 4.6e-14.
+  U is even (b+, b-, bx are quadratic in x, p), so row m is zero in every column
+  of the other parity: the rows and U A U+ are kept as parity blocks throughout.
 """
 
 from __future__ import annotations
@@ -71,22 +73,29 @@ class MetaplecticUnitary:
             return HermiteFamily(s, float(-tau.imag / 2), complex(np.conj(self.u_minus_v) / s),
                                  complex(self.vacuum * np.sqrt((1.0 + tau) / 2)))
 
-    @cached_property
-    def check_rows(self) -> np.ndarray:
-        """U[:b, :columns], b = cutoff/4: the rows the checks judge, over the columns they reach.
+    @property
+    def group_rows(self) -> tuple:
+        """S as float rows ((Pi, Xi), (Theta, Lambda)), read off the stored pair."""
+        return ((self.u_plus_v.real, -self.u_plus_v.imag), (self.u_minus_v.imag, self.u_minus_v.real))
 
-        A row reaches about m (|u| + |v|)^2 columns and then decays by |v/u| every
-        two, which sizes the first try; the second runs to MAX_CUTOFF.
-        """
+    @cached_property
+    def check_rows(self) -> tuple:
+        """(U[0:b:2, 0:c:2], U[1:b:2, 1:c:2]), b = cutoff/4: the judged rows by parity, over the
+        c columns they reach.  A row reaches about m (|u| + |v|)^2 columns and then decays by
+        |v/u| every two, which sizes the first try; the second runs to MAX_CUTOFF."""
+        if self.cutoff < CHECK_MIN_CUTOFF:
+            raise CutoffTooSmall(f"to judge cutoff/4 rows, cutoff must be >= {CHECK_MIN_CUTOFF}")
         b, u, v = self.cutoff // 4, self.u, self.v
         decay = math.log(abs(u) / abs(v)) if v else math.inf
         reach = (abs(u) + abs(v)) ** 2 * b + (2 * math.log(1 / _ROW_END) / decay if decay > 0 else math.inf)
         if reach <= MAX_CUTOFF:  # else refused without a try
             for columns in sorted({min(MAX_CUTOFF, 2 * math.ceil(0.625 * reach) + 16), MAX_CUTOFF}):
-                rows = _twisted_rows(u, v, self.vacuum, b, columns)
-                end = np.flatnonzero(np.max(np.abs(rows), axis=0) >= _ROW_END)[-1] + 1
+                even, odd = _twisted_rows(u, v, self.vacuum, b, columns)
+                column_max = np.empty(columns)
+                column_max[0::2], column_max[1::2] = (np.max(np.abs(r), axis=0) for r in (even, odd))
+                end = np.flatnonzero(column_max >= _ROW_END)[-1] + 1
                 if end + 8 < columns:  # the rows ended before the truncation could reach them
-                    return rows[:, :end]
+                    return even[:, :(end + 1) // 2], odd[:, :end // 2]
         raise ValueError(f"angles {self.angles.triple()} spread the leading {b} rows of the "
                          f"unitary past {MAX_CUTOFF} columns")
 
@@ -107,14 +116,16 @@ def _vacuum_amplitude(angles: tuple, u: complex) -> complex:
 
 def build_unitary(angles: ThetaAngles, cutoff: int) -> MetaplecticUnitary:
     """U of the angles, asked about its first `cutoff` levels."""
-    if cutoff < 16:
-        raise CutoffTooSmall("unitary construction needs cutoff >= 16")
+    if cutoff < 16:  # the checks' floor is decided in `check_rows`; this names it too
+        raise CutoffTooSmall(f"unitary construction needs cutoff >= 16 "
+                             f"(to check it, cutoff must be >= {CHECK_MIN_CUTOFF})")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"unitary cutoff must be <= {MAX_CUTOFF}")
     triple = angles.triple()  # refuses angles that are not one-dimensional
     try:
         with np.errstate(all="ignore"):
-            (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(angles, EUCLIDEAN_1D)))
+            s = exp_sp(from_angles(angles, EUCLIDEAN_1D))
+            pi, xi, th, la = (float(m[0, 0]) for m in (s.Pi, s.Xi, s.Theta, s.Lambda))
     except ConstraintViolation as exc:
         raise ValueError(f"angles {triple} have no finite group element: {exc}") from exc
     u_plus_v, u_minus_v = complex(pi, -xi), complex(la, th)
@@ -131,14 +142,15 @@ def position_convention_unitary(u: MetaplecticUnitary) -> MetaplecticUnitary:
     return replace(u, u_plus_v=u.u_minus_v, u_minus_v=u.u_plus_v)
 
 
-def _twisted_rows(u: complex, v: complex, vacuum: complex, b: int, columns: int) -> np.ndarray:
-    """The leading b rows of U over an even number of columns.
+def _twisted_rows(u: complex, v: complex, vacuum: complex, b: int, columns: int) -> tuple:
+    """The leading b rows of U over an even number of columns, as (even rows over even
+    columns, odd rows over odd columns).
 
     Row m solves x K = (2m+1)/4 x, K = U+ b+ U = (|u|^2 + |v|^2) b+ + w a^2 + conj(w) a+^2,
     w = -conj(uv)/2.  Within a parity K = D T D+, D = diag(exp(-i j arg w)), T real
     tridiagonal, so the row is conj(D z) for T z = (2m+1)/4 z, solved outwards from the
     twist where T - lambda = L D L^T = U R U^T meet best.  Row m's phase follows from
-    <m|U = <m-1|U (conj(u) a - v a+)/sqrt(m), row 0's from <0|U|0>.
+    <m|U = <m-1|U (conj(u) a - v a+)/sqrt(m), a row of the other block; row 0's from <0|U|0>.
     """
     n, m = columns // 2, np.arange(b)
     p, j = m % 2, np.arange(n)[:, None]  # arrays are (j, m)
@@ -151,23 +163,25 @@ def _twisted_rows(u: complex, v: complex, vacuum: complex, b: int, columns: int)
         r[k + 1][r[k + 1] == 0] = tiny
         r[k] -= e2[k] / r[k + 1]
     twist, e = np.argmin(np.abs(d + r - a), axis=0), np.sqrt(e2)
-    z = np.zeros_like(a)
-    z[twist, m] = 1.0
-    for i, k in zip(range(1, n), range(n - 2, -1, -1)):  # outwards from the twist
-        z[k] = np.where(k < twist, -(e[k] / d[k]) * z[k + 1], z[k])
-        z[i] = np.where(i > twist, -(e[i - 1] / r[i]) * z[i - 1], z[i])
+    # z is 1 at the twist and gains one factor per step outwards: products of the
+    # factors, masked to 1 on the twist's other side, from the top and from the bottom
+    down, up = np.ones_like(a), np.ones_like(a)
+    down[:-1] = np.where(j[:-1] < twist, -(e[:-1] / d[:-1]), 1.0)
+    up[1:] = np.where(j[1:] > twist, -(e[:-1] / r[1:]), 1.0)
+    z = np.cumprod(down[::-1], axis=0)[::-1] * np.cumprod(up, axis=0)
     z /= np.linalg.norm(z, axis=0)
     conj_d = np.exp(1j * np.angle(-np.conj(u * v)) * np.arange(n))
-    rows = np.zeros((b, columns), dtype=complex)
-    for parity in (0, 1):
-        rows[parity::2, parity::2] = z[:, parity::2].T * conj_d
-    image = np.zeros_like(rows)
-    root = np.sqrt(np.arange(1, columns))
-    image[1:, 1:] = np.conj(u) * root * rows[:-1, :-1]
-    image[1:, :-1] -= v * root * rows[:-1, 1:]
-    overlap = np.sum(image[1:] * rows[1:].conj(), axis=1)
-    phase = np.cumprod(np.concatenate([[vacuum / rows[0, 0]], overlap / np.abs(overlap)]))
-    return rows * (phase / np.abs(phase[0]))[:, None]
+    even, odd = z[:, 0::2].T * conj_d, z[:, 1::2].T * conj_d
+    # overlap[m - 1] = <image of row m - 1 under conj(u) a - v a+, row m>, from the even
+    # and odd one of the two rows, ev and od: sums over column pairs (2j, 2j+1), (2j+2, 2j+1)
+    m = np.arange(1, b)
+    ev, od, root = even[m // 2], odd[(m - 1) // 2], np.sqrt(np.arange(columns))
+    s1 = np.sum(root[1::2] * ev * od.conj(), axis=1)
+    s2 = np.sum(root[2::2] * ev[:, 1:] * od[:, :-1].conj(), axis=1)
+    overlap = np.where(m % 2, np.conj(u) * s1 - v * s2, np.conj(u * s2) - v * np.conj(s1))
+    phase = np.cumprod(np.concatenate([[vacuum / even[0, 0]], overlap / np.abs(overlap)]))
+    phase /= np.abs(phase[0])
+    return even * phase[0::2, None], odd * phase[1::2, None]
 
 
 def generator_bands(cutoff: int):
@@ -183,68 +197,60 @@ def quadrature_bands(cutoff: int):
     return {-1: p_band, 1: p_band}, x_hat
 
 
-def _group_rows(s) -> list:
-    """The 1D group element as float rows [[Pi, Xi], [Theta, Lambda]]."""
-    return [[float(s.Pi[0, 0]), float(s.Xi[0, 0])],
-            [float(s.Theta[0, 0]), float(s.Lambda[0, 0])]]
-
-
 def _leading_conjugate(u: MetaplecticUnitary, bands: dict) -> np.ndarray:
-    """The leading cutoff/4 block of U A U+, as (R A) R+ with R A summed band by band.
+    """The leading cutoff/4 block of U A U+, from the parity blocks R_p of the rows.
 
-    Callers build the bands two levels past the rows' columns, so the entry a
-    truncation distorts, the last one of b+, meets no row.
+    Band k of A takes a column of parity p to one of parity q = (p + k) mod 2, so
+    (R_p A) R_q+ fills out[p::2, q::2].  The bands reach two levels past the rows'
+    columns (`_band_levels`): the entry a truncation distorts, b+'s last, meets no row.
     """
     rows = u.check_rows
-    rows_a = np.zeros_like(rows)
+    rows_a = {}  # (p, q): R_p A over the columns of parity q
     for k, diagonal in bands.items():
-        n = rows.shape[1] - abs(k)  # A[i + max(-k, 0), i + max(k, 0)] = diagonal[i]
-        rows_a[:, max(k, 0):max(k, 0) + n] += rows[:, max(-k, 0):max(-k, 0) + n] * diagonal[:n]
-    return rows_a @ rows.conj().T
+        for p, r in enumerate(rows):
+            q = (p + k) % 2
+            shift = (p + k - q) // 2  # column j of block p meets column j + shift of block q
+            lo, hi = max(0, -shift), min(r.shape[1], rows[q].shape[1] - shift)
+            first = 2 * lo + p + min(k, 0)  # A[i + max(-k, 0), i + max(k, 0)] = diagonal[i]
+            out = rows_a.setdefault((p, q), np.zeros((len(r), rows[q].shape[1]), dtype=complex))
+            out[:, lo + shift:hi + shift] += r[:, lo:hi] * diagonal[first:first + 2 * (hi - lo):2]
+    conjugate = np.zeros((u.cutoff // 4,) * 2, dtype=complex)
+    for (p, q), product in rows_a.items():
+        conjugate[p::2, q::2] = product @ rows[q].conj().T
+    return conjugate
 
 
-def _report_head(u: MetaplecticUnitary, check: str) -> dict:
-    """Leading keys of a residual report; refuses a cutoff too small to judge."""
-    if u.cutoff < CHECK_MIN_CUTOFF:
-        raise CutoffTooSmall(f"{check} check needs cutoff >= {CHECK_MIN_CUTOFF}")
-    return {"angles": u.angles.triple(), "cutoff": u.cutoff, "block": u.cutoff // 4}
+def _band_levels(u: MetaplecticUnitary) -> int:
+    return sum(r.shape[1] for r in u.check_rows) + 2
 
 
 def verify_homomorphism(u: MetaplecticUnitary, tol: float) -> dict:
     """Compare U p U+, U x U+ against the classical matrix action.
 
     The quantum side conjugates with the leading rows of U, the classical side
-    is the 2x2 matrix exponential of its angles; both come from one S.
-    Residuals are taken on the leading cutoff/4 block.
+    is the S that U was read off.  Residuals are taken on the leading cutoff/4 block.
     """
-    head = _report_head(u, "homomorphism")
-    block = head["block"]
-    p_hat, x_hat = quadrature_bands(u.check_rows.shape[1] + 2)
-    (pi, xi), (th, la) = _group_rows(exp_sp(from_angles(u.angles, EUCLIDEAN_1D)))
+    p_hat, x_hat = quadrature_bands(_band_levels(u))
+    block, ((pi, xi), (th, la)) = u.cutoff // 4, u.group_rows
     lhs_p, lhs_x = _leading_conjugate(u, p_hat), _leading_conjugate(u, x_hat)
     p_lead, x_lead = _dense(p_hat, block), _dense(x_hat, block)
     res_p = float(np.max(np.abs(lhs_p - (pi * p_lead + th * x_lead))))
     res_x = float(np.max(np.abs(lhs_x - (xi * p_lead + la * x_lead))))
     max_res = max(res_p, res_x)
-    return {
-        **head,
-        "matrix": {"Pi": pi, "Xi": xi, "Theta": th, "Lambda": la},
-        "residual_p": res_p,
-        "residual_x": res_x,
-        "max_residual": max_res,
-        "tol": tol,
-        "passed": max_res < tol,
-    }
+    return {"angles": u.angles.triple(), "cutoff": u.cutoff, "block": block,
+            "matrix": {"Pi": pi, "Xi": xi, "Theta": th, "Lambda": la}, "residual_p": res_p,
+            "residual_x": res_x, "max_residual": max_res, "tol": tol, "passed": max_res < tol}
 
 
-def rationalize_symplectic(s) -> list:
+def rationalize_symplectic(rows) -> list:
     """Nearest small-denominator rational matrix that is exactly in SL(2, Q).
 
     Three entries are rounded to denominator <= 1e6 and the fourth is solved
     exactly from the determinant condition, dividing by the largest available
-    partner entry so the completion stays well conditioned.
+    partner entry so the completion stays well conditioned.  Takes the float
+    rows ((Pi, Xi), (Theta, Lambda)).
     """
-    (pi, xi), (th, la) = _group_rows(s)
+    (pi, xi), (th, la) = rows
 
     def rat(v: float) -> Fraction:
         return Fraction(v).limit_denominator(RATIONALIZE_DENOMINATOR)
@@ -272,17 +278,16 @@ def verify_basis_transformation(u: MetaplecticUnitary, tol: float) -> dict:
     """Check the generator transformation law against numerical conjugation.
 
     The engine-derived coefficient rows come from the exact symbolic
-    substitution at a rational approximant of the group matrix of U's angles;
+    substitution at a rational approximant of the S that U was read off;
     the published rows are evaluated alongside so their verdicts are
     recorded.  Residuals are measured on the leading cutoff/4 block.
     """
-    report = {**_report_head(u, "basis-law"), "tol": tol, "rows": {}}
-    block = report["block"]
-    s = exp_sp(from_angles(u.angles, EUCLIDEAN_1D))
-    engine_rows = engine_transform_rows(rationalize_symplectic(s))
-    gens = dict(zip(("+", "-", "x"), generator_bands(u.check_rows.shape[1] + 2)))
+    gens = dict(zip(("+", "-", "x"), generator_bands(_band_levels(u))))
+    block = u.cutoff // 4
+    report = {"angles": u.angles.triple(), "cutoff": u.cutoff, "block": block, "tol": tol, "rows": {}}
+    engine_rows = engine_transform_rows(rationalize_symplectic(u.group_rows))
     bp_lead, bm_lead, bx_lead = (_dense(g, block) for g in gens.values())
-    printed_rows = printed_transform_rows(_group_rows(s))
+    printed_rows = printed_transform_rows(u.group_rows)
 
     def residual(numeric, c) -> float:
         return float(np.max(np.abs(numeric - (c[0] * bp_lead + c[1] * bm_lead + c[2] * bx_lead))))
@@ -293,12 +298,8 @@ def verify_basis_transformation(u: MetaplecticUnitary, tol: float) -> dict:
         coeffs = tuple(float(c) for c in engine_rows[kind])
         res_engine, res_printed = residual(numeric, coeffs), residual(numeric, printed_rows[kind])
         worst = max(worst, res_engine)
-        report["rows"][kind] = {
-            "engine_coefficients": coeffs,
-            "printed_coefficients": printed_rows[kind],
-            "engine_residual": res_engine,
-            "printed_residual": res_printed,
-            "printed_row_holds": res_printed < tol,
-        }
+        report["rows"][kind] = {"engine_coefficients": coeffs, "printed_coefficients": printed_rows[kind],
+                                "engine_residual": res_engine, "printed_residual": res_printed,
+                                "printed_row_holds": res_printed < tol}
     report.update(max_residual=worst, passed=worst < tol)
     return report

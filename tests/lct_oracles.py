@@ -226,7 +226,11 @@ def unitary_matrix(u) -> np.ndarray:
 
 
 def rows_matrix(rows) -> np.ndarray:
-    """Rows split by parity, (U[0:m:2, 0::2], U[1:m:2, 1::2]), as the dense U[:m, :]."""
+    """Rows split by parity, (U[0:m:2, 0::2], U[1:m:2, 1::2]), as the dense U[:m, :].
+
+    `MetaplecticUnitary.check_rows` and `EighUnitary.leading_rows` hold rows so;
+    when the rows end at an odd column the even block is one column wider.
+    """
     even, odd = rows
     out = np.zeros((len(even) + len(odd), even.shape[1] + odd.shape[1]), dtype=complex)
     out[0::2, 0::2] = even

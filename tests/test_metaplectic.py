@@ -44,8 +44,8 @@ def reduced_quadratures(cutoff):
 
 
 def leading_rows(u):
-    """The rows the checks judge, U[:cutoff/4, :columns]."""
-    return u.check_rows
+    """The rows the checks judge, U[:cutoff/4, :columns], from their two parity blocks."""
+    return rows_matrix(u.check_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,10 +213,15 @@ def test_composition_of_conjugation_actions():
     assert np.max(np.abs((lhs - rhs)[:24, :24])) < 1e-8
 
 
+def _float_rows(s):
+    """A 1D group element as the float rows ((Pi, Xi), (Theta, Lambda))."""
+    return tuple(tuple(float(m[0, 0]) for m in row) for row in ((s.Pi, s.Xi), (s.Theta, s.Lambda)))
+
+
 def test_rationalized_matrix_is_exactly_unimodular():
     for angles in ANGLE_SAMPLES:
         s = exp_sl2(from_angles(ThetaAngles.one_dim(*angles), EUCLIDEAN_1D))
-        m = rationalize_symplectic(s)
+        m = rationalize_symplectic(_float_rows(s))
         assert m[0][0] * m[1][1] - m[1][0] * m[0][1] == 1
         assert abs(float(m[0][0]) - float(s.Pi[0, 0])) < 1e-5
 
@@ -225,7 +230,7 @@ def test_rationalized_matrix_is_exactly_unimodular():
 @given(st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3))
 def test_rationalized_group_element_is_unimodular_and_close(angles):
     s = exp_sp(from_angles(ThetaAngles.one_dim(*angles), EUCLIDEAN_1D))
-    m = rationalize_symplectic(s)
+    m = rationalize_symplectic(_float_rows(s))
     assert all(type(v) is Fraction for row in m for v in row)
     assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
     floats = ((s.Pi, s.Xi), (s.Theta, s.Lambda))
@@ -308,7 +313,7 @@ def _product_vacuum(u1: MetaplecticUnitary, u2: MetaplecticUnitary) -> complex:
 
 def _group(u: MetaplecticUnitary) -> np.ndarray:
     """S = ((Pi, Xi), (Theta, Lambda)) from u + v = Pi - i Xi and u - v = Lambda + i Theta."""
-    return np.array([[u.u_plus_v.real, -u.u_plus_v.imag], [u.u_minus_v.imag, u.u_minus_v.real]])
+    return np.array(u.group_rows)
 
 
 def _from_group(s: np.ndarray, cutoff: int, vacuum: complex) -> MetaplecticUnitary:
@@ -328,7 +333,7 @@ def test_group_law_on_the_leading_block(a1, a2):
     # branches, decides the sign
     u1, u2 = (build_unitary(ThetaAngles.one_dim(*a), 64) for a in (a1, a2))
     u2_inverse = build_unitary(ThetaAngles.one_dim(*(-x for x in a2)), 64)  # U2+ = U(-angles)
-    product = _matmul_rows(u1.check_rows, u2_inverse.check_rows)
+    product = _matmul_rows(leading_rows(u1), leading_rows(u2_inverse))
     vacuum = _product_vacuum(u1, u2)
     u12 = _from_group(_group(u1) @ _group(u2), 64, vacuum)
     assert abs(vacuum ** -2 - u12.u) <= 1e-12 * abs(u12.u)  # vacuum = +-u12^(-1/2)
@@ -341,7 +346,7 @@ def test_group_law_on_the_leading_block(a1, a2):
 def test_group_law_against_the_eigh_oracle(a1, a2):
     u1 = build_unitary(ThetaAngles.one_dim(*a1), 64)
     u2_inverse = build_unitary(ThetaAngles.one_dim(*(-x for x in a2)), 64)
-    product = _matmul_rows(u1.check_rows, u2_inverse.check_rows)
+    product = _matmul_rows(leading_rows(u1), leading_rows(u2_inverse))
     # (U1 U2)[:16, :16] = U1[:16, :] (U2+[:16, :])+
     oracle = oracle_rows(a1, 16) @ oracle_rows(tuple(-x for x in a2), 16).conj().T
     assert np.max(np.abs(product - oracle)) <= 1e-13

@@ -224,7 +224,7 @@ def test_flipped_band_phase_passes_both_gates_and_the_true_rows_tell_it_apart(an
     assert not dense_refuses(flipped.phase, flipped.blocks)
     assert np.max(np.abs(unitary_matrix(flipped) - unitary_matrix(u))) > 1e-3
     # the flipped first rows are not the true ones; at 256 levels the oracle's are
-    true = build_unitary(ThetaAngles.one_dim(*angles), 16).check_rows
+    true = rows_matrix(build_unitary(ThetaAngles.one_dim(*angles), 32).check_rows)[:4]
     width = min(true.shape[1], cutoff)
     for oracle, differs in ((flipped, True), (u, False)):
         gap = np.max(np.abs(rows_matrix(oracle.leading_rows(4))[:, :width] - true[:, :width]))
@@ -344,14 +344,16 @@ def band_operators(cutoff):
                     (*quadrature_bands(cutoff), *generator_bands(cutoff))))
 
 
-@pytest.mark.parametrize("cutoff", [32, 33, 128, 17, 36, 45, 257])
+@pytest.mark.parametrize("cutoff", [32, 33, 128, 40, 36, 45, 257, 1024])
 @pytest.mark.parametrize("angles", [(0.4, 0.0, 0.0), (0.3, -0.2, 0.25), (0.0, 0.7, -0.5)])
 def test_leading_conjugate_of_every_band_operator_matches_dense(angles, cutoff):
-    # the parity bookkeeping against dense products of the same rows
+    # the block products against dense products of the same rows, scattered
+    # into U[:b, :c]; at 36, 45 and 257 b is odd, and c may be odd
     B = 1.3
     u = build_unitary(ThetaAngles.one_dim(*angles), cutoff)
-    block, columns = cutoff // 4, u.check_rows.shape[1] + 2
-    rows = np.pad(u.check_rows, ((0, 0), (0, 2)))
+    rows = rows_matrix(u.check_rows)
+    block, columns = cutoff // 4, rows.shape[1] + 2
+    rows = np.pad(rows, ((0, 0), (0, 2)))
     dense = dense_operators(B, columns)
     for name, bands in band_operators(columns).items():
         a = dense[name]
